@@ -1,11 +1,14 @@
 #include "checkpoint.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+
+#include "common/logging.hh"
 
 namespace simalpha {
 namespace checkpoint {
@@ -15,44 +18,79 @@ namespace {
 constexpr const char *kCkptMagic = "ckpt1";
 constexpr const char *kMetaMagic = "ffwd1";
 
-void
-appendHex(std::string &out, std::uint64_t v)
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/** 0..15 for a lowercase hex digit, 0xFF for every other byte. */
+constexpr std::array<std::uint8_t, 256> kHexValue = [] {
+    std::array<std::uint8_t, 256> t{};
+    t.fill(0xFF);
+    for (int i = 0; i < 16; i++)
+        t[std::uint8_t(kHexDigits[i])] = std::uint8_t(i);
+    return t;
+}();
+
+/** Lowercase hex digits of @p v without leading zeros ("0" for 0). */
+std::size_t
+hexDigits(std::uint64_t v)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llx", (unsigned long long)v);
-    out += buf;
+    return v ? std::size_t(67 - std::countl_zero(v)) / 4 : 1;
 }
 
-/** Parse a hex field terminated by @p term (or end of string). */
-bool
-readHex(const char *&p, std::uint64_t *out)
+/** Write the hexDigits(v) digits of @p v at @p p, return the end. */
+char *
+putHex(char *p, std::uint64_t v)
 {
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(p, &end, 16);
-    if (end == p)
+    char *end = p + hexDigits(v);
+    for (char *q = end; q != p; v >>= 4)
+        *--q = kHexDigits[v & 0xF];
+    return end;
+}
+
+/** Read one canonical hex number: 1..16 lowercase digits, no leading
+ *  zero unless the number is exactly "0". @p p must point into a
+ *  NUL-terminated string; the NUL ends the scan like any non-digit. */
+bool
+takeHex(const char *&p, std::uint64_t *out)
+{
+    const char *q = p;
+    std::uint64_t v = 0;
+    for (std::uint8_t d; (d = kHexValue[std::uint8_t(*q)]) != 0xFF; q++)
+        v = (v << 4) | d;
+    std::size_t n = std::size_t(q - p);
+    if (n == 0 || n > 16 || (n > 1 && *p == '0'))
         return false;
-    p = end;
+    p = q;
+    *out = v;
+    return true;
+}
+
+/** Read one canonical decimal number as std::to_string() writes it:
+ *  digits only, no leading zero unless the number is exactly "0", no
+ *  overflow. */
+bool
+takeDec(const char *&p, const char *end, std::uint64_t *out)
+{
+    const char *q = p;
+    std::uint64_t v = 0;
+    while (q != end && *q >= '0' && *q <= '9') {
+        std::uint64_t d = std::uint64_t(*q - '0');
+        if (v > (~std::uint64_t(0) - d) / 10)
+            return false;
+        v = v * 10 + d;
+        q++;
+    }
+    if (q == p || (q - p > 1 && *p == '0'))
+        return false;
+    p = q;
     *out = v;
     return true;
 }
 
 bool
-readDec(const char *&p, std::uint64_t *out)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(p, &end, 10);
-    if (end == p)
-        return false;
-    p = end;
-    *out = v;
-    return true;
-}
-
-bool
-eatLit(const char *&p, const char *lit)
+eatLit(const char *&p, const char *end, const char *lit)
 {
     std::size_t n = std::strlen(lit);
-    if (std::strncmp(p, lit, n) != 0)
+    if (std::size_t(end - p) < n || std::memcmp(p, lit, n) != 0)
         return false;
     p += n;
     return true;
@@ -67,32 +105,50 @@ eatLit(const char *&p, const char *lit)
 std::string
 serializeCheckpoint(const Checkpoint &ckpt)
 {
-    // Sorted memory makes equal states byte-equal regardless of the
-    // sparse memory's hash-map iteration order.
-    std::vector<std::pair<Addr, RegVal>> mem = ckpt.memory;
-    std::sort(mem.begin(), mem.end());
+    // Size the blob exactly (fixed text, separators, digits), then
+    // fill it in one pass.
+    const std::string seq = std::to_string(ckpt.seq);
+    std::size_t size = std::strlen("ckpt1 pc= seq= halted=0 regs= mem=") +
+                       seq.size() + hexDigits(ckpt.pc) +
+                       (ckpt.regs.size() - 1);
+    for (RegVal r : ckpt.regs)
+        size += hexDigits(r);
+    for (std::size_t i = 0; i < ckpt.memory.size(); i++) {
+        // Ascending memory makes equal states byte-equal, and is what
+        // parseCheckpoint() demands.
+        sim_assert(i == 0 ||
+                   ckpt.memory[i - 1].first < ckpt.memory[i].first);
+        size += (i ? 2 : 1) + hexDigits(ckpt.memory[i].first) +
+                hexDigits(ckpt.memory[i].second);
+    }
 
-    std::string out = kCkptMagic;
-    out += " pc=";
-    appendHex(out, ckpt.pc);
-    out += " seq=";
-    out += std::to_string(ckpt.seq);
-    out += " halted=";
-    out += ckpt.halted ? '1' : '0';
-    out += " regs=";
+    std::string out(size, '\0');
+    char *p = out.data();
+    auto put = [&p](const char *lit) {
+        std::size_t n = std::strlen(lit);
+        std::memcpy(p, lit, n);
+        p += n;
+    };
+    put(kCkptMagic);
+    put(" pc=");
+    p = putHex(p, ckpt.pc);
+    put(" seq=");
+    put(seq.c_str());
+    put(ckpt.halted ? " halted=1 regs=" : " halted=0 regs=");
     for (std::size_t i = 0; i < ckpt.regs.size(); i++) {
         if (i)
-            out += ',';
-        appendHex(out, ckpt.regs[i]);
+            *p++ = ',';
+        p = putHex(p, ckpt.regs[i]);
     }
-    out += " mem=";
-    for (std::size_t i = 0; i < mem.size(); i++) {
+    put(" mem=");
+    for (std::size_t i = 0; i < ckpt.memory.size(); i++) {
         if (i)
-            out += ';';
-        appendHex(out, mem[i].first);
-        out += ':';
-        appendHex(out, mem[i].second);
+            *p++ = ';';
+        p = putHex(p, ckpt.memory[i].first);
+        *p++ = ':';
+        p = putHex(p, ckpt.memory[i].second);
     }
+    sim_assert(p == out.data() + out.size());
     return out;
 }
 
@@ -106,39 +162,44 @@ parseCheckpoint(const std::string &text, Checkpoint *out,
         return false;
     };
 
-    const char *p = text.c_str();
-    if (!eatLit(p, kCkptMagic))
+    const char *p = text.data();
+    const char *end = p + text.size();
+    if (!eatLit(p, end, kCkptMagic))
         return fail("bad magic");
 
     Checkpoint c;
     std::uint64_t v = 0;
-    if (!eatLit(p, " pc=") || !readHex(p, &v))
+    if (!eatLit(p, end, " pc=") || !takeHex(p, &v))
         return fail("pc");
     c.pc = v;
-    if (!eatLit(p, " seq=") || !readDec(p, &v))
+    if (!eatLit(p, end, " seq=") || !takeDec(p, end, &v))
         return fail("seq");
     c.seq = v;
-    if (!eatLit(p, " halted=") || !readDec(p, &v) || v > 1)
+    if (!eatLit(p, end, " halted=") || p == end ||
+        (*p != '0' && *p != '1'))
         return fail("halted");
-    c.halted = v != 0;
-    if (!eatLit(p, " regs="))
+    c.halted = *p++ == '1';
+    if (!eatLit(p, end, " regs="))
         return fail("regs");
     for (std::size_t i = 0; i < c.regs.size(); i++) {
-        if (i && !eatLit(p, ","))
+        if (i && !eatLit(p, end, ","))
             return fail("regs separator");
-        if (!readHex(p, &v))
+        if (!takeHex(p, &c.regs[i]))
             return fail("regs value");
-        c.regs[i] = v;
     }
-    if (!eatLit(p, " mem="))
+    if (!eatLit(p, end, " mem="))
         return fail("mem");
-    while (*p) {
+    if (p != end)
+        c.memory.reserve(std::size_t(std::count(p, end, ';')) + 1);
+    while (p != end) {
         std::uint64_t addr = 0, word = 0;
-        if (!c.memory.empty() && !eatLit(p, ";"))
+        if (!c.memory.empty() && !eatLit(p, end, ";"))
             return fail("mem separator");
-        if (!readHex(p, &addr) || !eatLit(p, ":") ||
-            !readHex(p, &word))
+        if (!takeHex(p, &addr) || !eatLit(p, end, ":") ||
+            !takeHex(p, &word))
             return fail("mem pair");
+        if (!c.memory.empty() && c.memory.back().first >= addr)
+            return fail("mem addresses not ascending");
         c.memory.emplace_back(addr, word);
     }
     *out = std::move(c);
@@ -231,11 +292,12 @@ serializeMeta(const FastForwardInfo &info)
 bool
 parseMeta(const std::string &text, FastForwardInfo *out)
 {
-    const char *p = text.c_str();
+    const char *p = text.data();
+    const char *end = p + text.size();
     std::uint64_t total = 0, fin = 0;
-    if (!eatLit(p, kMetaMagic) || !eatLit(p, " total=") ||
-        !readDec(p, &total) || !eatLit(p, " finished=") ||
-        !readDec(p, &fin) || fin > 1 || *p)
+    if (!eatLit(p, end, kMetaMagic) || !eatLit(p, end, " total=") ||
+        !takeDec(p, end, &total) || !eatLit(p, end, " finished=") ||
+        !takeDec(p, end, &fin) || fin > 1 || p != end)
         return false;
     out->totalInsts = total;
     out->finished = fin != 0;
@@ -258,27 +320,28 @@ parseSampleSpec(const std::string &text, SampleSpec *out,
 
     SampleSpec spec;
     bool sawWindows = false, sawLen = false;
-    const char *p = text.c_str();
-    while (*p) {
+    const char *p = text.data();
+    const char *end = p + text.size();
+    while (p != end) {
         std::uint64_t v = 0;
-        if (eatLit(p, "windows=")) {
-            if (!readDec(p, &v))
+        if (eatLit(p, end, "windows=")) {
+            if (!takeDec(p, end, &v))
                 return fail("windows needs a number");
             spec.windows = v;
             sawWindows = true;
-        } else if (eatLit(p, "len=")) {
-            if (!readDec(p, &v))
+        } else if (eatLit(p, end, "len=")) {
+            if (!takeDec(p, end, &v))
                 return fail("len needs a number");
             spec.len = v;
             sawLen = true;
-        } else if (eatLit(p, "warmup=")) {
-            if (!readDec(p, &v))
+        } else if (eatLit(p, end, "warmup=")) {
+            if (!takeDec(p, end, &v))
                 return fail("warmup needs a number");
             spec.warmup = v;
         } else {
             return fail("expected windows=/len=/warmup=");
         }
-        if (*p && !eatLit(p, ","))
+        if (p != end && !eatLit(p, end, ","))
             return fail("expected ','");
     }
     if (!sawWindows || spec.windows == 0)
@@ -415,10 +478,20 @@ collectCheckpoints(const Program &program,
         resolved[target] = std::move(c);
     }
 
+    // Hand each state over on its last request; only an offset that
+    // is requested again later is copied.
+    std::map<std::uint64_t, std::size_t> uses;
+    for (std::uint64_t offset : offsets)
+        uses[offset]++;
     out->clear();
     out->reserve(offsets.size());
-    for (std::uint64_t offset : offsets)
-        out->push_back(resolved[offset]);
+    for (std::uint64_t offset : offsets) {
+        Checkpoint &c = resolved[offset];
+        if (--uses[offset] == 0)
+            out->push_back(std::move(c));
+        else
+            out->push_back(c);
+    }
     return true;
 }
 

@@ -42,19 +42,27 @@ namespace checkpoint {
 
 /**
  * Serialize a checkpoint as one line of text (the store's publish()
- * rejects embedded newlines, so the format is a line by construction):
+ * rejects embedded newlines, so the format is a line by construction).
+ * The `ckpt1` grammar, exactly:
  *
- *   ckpt1 pc=<hex> seq=<dec> halted=<0|1> regs=<64 hex words> \
- *       mem=<addr:word;...>
+ *   blob   := "ckpt1 pc=" hex " seq=" dec " halted=" ("0" | "1")
+ *             " regs=" hex ("," hex){63} " mem=" [pair (";" pair)*]
+ *   pair   := hex ":" hex          (addresses strictly ascending)
+ *   hex    := "0" | [1-9a-f][0-9a-f]{0,15}
+ *   dec    := "0" | [1-9][0-9]*    (at most 2^64-1)
  *
- * Memory words are sorted by address, so equal states serialize to
- * equal bytes regardless of page-table iteration order.
+ * No sign, space, "0x" prefix, uppercase digit or leading zero. Every
+ * state has exactly one blob: ckpt.memory must be in strictly
+ * ascending address order (Emulator::checkpoint() exports it so), and
+ * equal states serialize to equal bytes.
  */
 std::string serializeCheckpoint(const Checkpoint &ckpt);
 
-/** Parse serializeCheckpoint() output. Returns false with *error
- *  filled on any malformed input (wrong magic, bad field, trailing
- *  garbage) — a corrupt blob must read as a miss, never as state. */
+/** Parse serializeCheckpoint() output. Accepts exactly the grammar
+ *  above; returns false with *error filled on anything else (wrong
+ *  magic, a non-canonical or out-of-range number, addresses out of
+ *  order, trailing garbage) — a corrupt blob must read as a miss,
+ *  never as state. */
 bool parseCheckpoint(const std::string &text, Checkpoint *out,
                      std::string *error);
 

@@ -86,7 +86,10 @@ class AlphaCore : public Machine
         Cycle windowStart;
     };
 
-    void resetMachine(const Program &program);
+    /** Reset every unit for a run of @p program; the oracle starts at
+     *  @p start when given, else at the program's reset state. */
+    void resetMachine(const Program &program,
+                      const Checkpoint *start = nullptr);
     /** The run loop shared by run() and runWindow(): tick until halt
      *  or _maxInsts commits, with the forward-progress watchdog. */
     void runLoop(const Program &program);

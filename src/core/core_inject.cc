@@ -11,7 +11,6 @@
  * crashes are an *outcome*, not a host-process hazard.
  */
 
-#include <algorithm>
 #include <cstdio>
 
 #include "core/core.hh"
@@ -201,8 +200,7 @@ AlphaCore::applyInjection()
         // in the D-cache: the flip is visible to every later read,
         // modelling corrupted cached data written back to memory.
         Emulator &emu = _oracle->emulator();
-        auto words = emu.memory().exportWords();
-        std::sort(words.begin(), words.end());
+        auto words = emu.memory().exportWords();    // ascending
         if (words.empty()) {
             note += "(no data written yet; flip dropped)";
             break;

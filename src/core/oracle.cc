@@ -11,9 +11,8 @@ OracleStream::OracleStream(const Program &program)
 
 OracleStream::OracleStream(const Program &program,
                            const Checkpoint &start)
-    : _emu(program)
+    : _emu(program, start)
 {
-    _emu.restore(start);
     // The emulator's next record is instruction start.seq, so the
     // empty buffer's base must match for rewindTo()'s arithmetic.
     _baseSeq = start.seq;

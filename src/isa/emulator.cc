@@ -140,8 +140,16 @@ SparseMemory::write32(Addr addr, std::uint32_t value)
 std::vector<std::pair<Addr, RegVal>>
 SparseMemory::exportWords() const
 {
+    // Sorting the pages orders the words: a page's words are visited
+    // in ascending offset.
+    std::vector<std::pair<Addr, const Page *>> pages;
+    pages.reserve(_pages.size());
+    for (const auto &[page_no, page] : _pages)
+        pages.emplace_back(page_no, page.get());
+    std::sort(pages.begin(), pages.end());
+
     std::vector<std::pair<Addr, RegVal>> words;
-    for (const auto &[page_no, page] : _pages) {
+    for (const auto &[page_no, page] : pages) {
         Addr base = page_no << kPageShift;
         for (Addr off = 0; off < kPageBytes; off += 8) {
             RegVal v = 0;
@@ -206,11 +214,25 @@ Emulator::Emulator(const Program &program)
 {
     for (const auto &[addr, value] : program.data)
         _mem.write64(addr, value);
+    predecode();
+}
 
-    _dec.reserve(program.text.size());
-    for (const Instruction &inst : program.text)
+Emulator::Emulator(const Program &program, const Checkpoint &start)
+    : _prog(program), _pc(program.entryPc)
+{
+    // restore() replaces all memory, so the initial data image is
+    // never written.
+    predecode();
+    restore(start);
+}
+
+void
+Emulator::predecode()
+{
+    _dec.reserve(_prog.text.size());
+    for (const Instruction &inst : _prog.text)
         _dec.push_back(decodeOne(inst));
-    _ip = program.indexOf(_pc);
+    _ip = _prog.indexOf(_pc);
 
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;

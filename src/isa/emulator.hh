@@ -55,7 +55,8 @@ class SparseMemory
     /** Number of distinct pages touched (for tests / footprint stats). */
     std::size_t pagesTouched() const { return _pages.size(); }
 
-    /** Export all touched memory as (address, word) pairs. */
+    /** Export every nonzero aligned word of touched memory as
+     *  (address, word) pairs in ascending address order. */
     std::vector<std::pair<Addr, RegVal>> exportWords() const;
 
     /** Drop every page (restore starts from a zero-filled space). */
@@ -98,7 +99,8 @@ struct Checkpoint
     Addr pc = 0;
     InstSeq seq = 0;
     bool halted = false;
-    /** Dirty memory as (address, 64-bit word) pairs, page-packed. */
+    /** Dirty memory as (address, 64-bit word) pairs in ascending
+     *  address order. */
     std::vector<std::pair<Addr, RegVal>> memory;
 };
 
@@ -134,6 +136,11 @@ class Emulator
 {
   public:
     explicit Emulator(const Program &program);
+
+    /** An emulator of @p program resuming at @p start; equivalent to
+     *  Emulator(program) followed by restore(start), without loading
+     *  the program's initial data image first. */
+    Emulator(const Program &program, const Checkpoint &start);
 
     /** Capture the full architectural state. */
     Checkpoint checkpoint() const;
@@ -199,6 +206,10 @@ class Emulator
      *  removes every zero-register branch from the execute loops. */
     static constexpr std::size_t kZeroSlot = kNumIntRegs + kNumFpRegs;
     static constexpr std::size_t kSinkSlot = kZeroSlot + 1;
+
+    /** Decode the text image and read SIMALPHA_SLOWPATH (both
+     *  constructors). */
+    void predecode();
 
     RegVal reg(RegIndex r) const;
     void setReg(RegIndex r, RegVal v);

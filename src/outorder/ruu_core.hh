@@ -128,7 +128,10 @@ class RuuCore : public Machine
         RegIndex dst = kNoReg;
     };
 
-    void resetMachine(const Program &program);
+    /** Reset every unit for a run of @p program; the oracle starts at
+     *  @p start when given, else at the program's reset state. */
+    void resetMachine(const Program &program,
+                      const Checkpoint *start = nullptr);
     /** The run loop shared by run() and runWindow(): tick until halt
      *  or _maxInsts commits, with the forward-progress watchdog. */
     void runLoop(const Program &program);

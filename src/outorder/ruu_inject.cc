@@ -6,7 +6,6 @@
  * within field widths, contained errors only.
  */
 
-#include <algorithm>
 #include <cstdio>
 
 #include "outorder/ruu_core.hh"
@@ -166,8 +165,7 @@ RuuCore::applyInjection()
         break;
       case inject::Target::CacheData: {
         Emulator &emu = _oracle->emulator();
-        auto words = emu.memory().exportWords();
-        std::sort(words.begin(), words.end());
+        auto words = emu.memory().exportWords();    // ascending
         if (words.empty()) {
             note += "(no data written yet; flip dropped)";
             break;

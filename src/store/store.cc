@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 
 namespace simalpha {
@@ -27,7 +28,7 @@ constexpr const char *kCheckPrefix = "\",\"check\":\"";
 constexpr const char *kHeaderSuffix = "\"}";
 
 std::uint64_t
-fnv1a64(const std::string &s)
+fnv1a64(std::string_view s)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char ch : s) {
@@ -84,7 +85,7 @@ escapeJson(const std::string &s)
 /** Consume an escaped JSON string body starting at *pos (just past the
  *  opening quote); leaves *pos past the closing quote. */
 bool
-readStringBody(const std::string &s, std::size_t *pos, std::string *out)
+readStringBody(std::string_view s, std::size_t *pos, std::string *out)
 {
     out->clear();
     std::size_t p = *pos;
@@ -143,7 +144,7 @@ readStringBody(const std::string &s, std::size_t *pos, std::string *out)
 }
 
 bool
-eatLiteral(const std::string &s, std::size_t *pos, const char *lit)
+eatLiteral(std::string_view s, std::size_t *pos, const char *lit)
 {
     std::size_t n = std::strlen(lit);
     if (s.compare(*pos, n, lit) != 0)
@@ -165,8 +166,8 @@ headerLine(const std::string &key, const std::string &payload)
 
 /** Parse a header line into the recorded key and integrity hash. */
 bool
-parseHeader(const std::string &line, std::string *key,
-            std::string *check)
+parseHeader(std::string_view line, std::string *key,
+            std::string_view *check)
 {
     std::size_t pos = 0;
     if (!eatLiteral(line, &pos, kHeaderPrefix))
@@ -185,9 +186,11 @@ parseHeader(const std::string &line, std::string *key,
     return eatLiteral(line, &pos, kHeaderSuffix) && pos == line.size();
 }
 
-/** Atomic write: temp file in the target's directory, then rename. */
+/** Atomic write of the concatenated @p pieces: temp file in the
+ *  target's directory, then rename. */
 bool
-writeAtomic(const std::string &path, const std::string &content,
+writeAtomic(const std::string &path,
+            std::initializer_list<std::string_view> pieces,
             std::uint64_t seq, std::string *error)
 {
     std::string tmp = path + ".tmp." + std::to_string(long(::getpid())) +
@@ -198,7 +201,8 @@ writeAtomic(const std::string &path, const std::string &content,
             *error = "cannot open '" + tmp + "' for writing";
         return false;
     }
-    out << content;
+    for (std::string_view piece : pieces)
+        out.write(piece.data(), std::streamsize(piece.size()));
     out.close();
     if (!out) {
         std::remove(tmp.c_str());
@@ -213,19 +217,6 @@ writeAtomic(const std::string &path, const std::string &content,
         return false;
     }
     return true;
-}
-
-/** Slurp a whole file; false (not an error) when it does not exist. */
-bool
-slurp(const std::string &path, std::string *out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream os;
-    os << in.rdbuf();
-    *out = os.str();
-    return !in.bad();
 }
 
 /** An flock(2)-scoped advisory lock; no-throw, best effort on systems
@@ -275,6 +266,16 @@ preadRange(const std::string &path, std::uint64_t off, std::size_t len,
     }
     ::close(fd);
     return got == len;
+}
+
+/** Slurp a whole file with one sized read; false (not an error) when
+ *  it does not exist or cannot be read in full. */
+bool
+slurp(const std::string &path, std::string *out)
+{
+    std::error_code ec;
+    std::uintmax_t size = fs::file_size(path, ec);
+    return !ec && preadRange(path, 0, std::size_t(size), out);
 }
 
 bool
@@ -410,29 +411,33 @@ ResultStore::readEntry(const std::string &path, std::string *key,
     if (!slurp(path, &content))
         return false;
 
+    // Header and body are checked in place; the body becomes the
+    // payload by trimming the file's own buffer.
     std::size_t nl = content.find('\n');
     if (nl == std::string::npos) {
         *corrupt = true;
         return false;
     }
-    std::string header = content.substr(0, nl);
-    std::string body = content.substr(nl + 1);
+    std::string_view view(content);
+    std::string_view body = view.substr(nl + 1);
     if (!body.empty() && body.back() == '\n')
-        body.pop_back();
+        body.remove_suffix(1);
     else {
         *corrupt = true;    // torn write can't survive rename; corrupt
         return false;
     }
 
-    std::string check;
-    if (!parseHeader(header, key, &check) ||
+    std::string_view check;
+    if (!parseHeader(view.substr(0, nl), key, &check) ||
         check != hex16(fnv1a64(body))) {
         *corrupt = true;
         return false;
     }
     if (payloadOff)
         *payloadOff = std::uint32_t(nl + 1);
-    *payload = std::move(body);
+    content.pop_back();
+    content.erase(0, nl + 1);
+    *payload = std::move(content);
     return true;
 }
 
@@ -558,19 +563,18 @@ ResultStore::publish(const std::string &key, const std::string &payload,
         return false;
     }
 
-    std::string content = headerLine(key, payload);
-    content += '\n';
-    content += payload;
-    content += '\n';
+    std::string header = headerLine(key, payload);
+    header += '\n';
 
     // The advisory lock serializes writers of this entry; readers never
     // take it (rename is atomic), so a reader can't block a writer.
     ScopedFlock lock(path + ".lock");
-    if (!writeAtomic(path, content, _tmpSeq.fetch_add(1), error))
+    if (!writeAtomic(path, {header, payload, "\n"}, _tmpSeq.fetch_add(1),
+                     error))
         return false;
     touchSidecar(path);
     _publishes.fetch_add(1);
-    _bytesWritten.fetch_add(content.size());
+    _bytesWritten.fetch_add(header.size() + payload.size() + 1);
     return true;
 }
 
@@ -870,7 +874,7 @@ ResultStore::exportTo(const std::string &path, std::uint64_t *exported,
             },
             exported, error))
         return false;
-    return writeAtomic(path, os.str(), 0, error);
+    return writeAtomic(path, {os.str()}, 0, error);
 }
 
 bool

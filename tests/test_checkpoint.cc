@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "isa/assembler.hh"
 #include "isa/emulator.hh"
 
@@ -104,4 +106,67 @@ TEST(Checkpoint, InitialCheckpointIsProgramStart)
     fresh.restore(ckpt);
     ExecutedInst first = fresh.step();
     EXPECT_EQ(first.pc, p.entryPc);
+}
+
+TEST(Checkpoint, ExportWordsIsAscending)
+{
+    // Pages touched in descending order, words within a page out of
+    // order, and a zero word that must not be exported.
+    SparseMemory mem;
+    std::vector<std::pair<Addr, RegVal>> expect;
+    for (Addr page = 40; page-- > 0;) {
+        Addr base = 0x140000000ULL + page * 0x1000 * 7;
+        mem.write64(base + 0xff8, page + 1);
+        mem.write64(base + 0x10, 0);
+        mem.write64(base + 0x8, ~page);
+        expect.emplace_back(base + 0x8, ~page);
+        expect.emplace_back(base + 0xff8, page + 1);
+    }
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(mem.exportWords(), expect);
+
+    // And so is every checkpoint an emulator takes.
+    Program p = counterProgram();
+    Emulator emu(p);
+    emu.run(777);
+    Checkpoint ckpt = emu.checkpoint();
+    ASSERT_FALSE(ckpt.memory.empty());
+    for (std::size_t i = 1; i < ckpt.memory.size(); i++)
+        ASSERT_LT(ckpt.memory[i - 1].first, ckpt.memory[i].first);
+}
+
+TEST(Checkpoint, ConstructingAtCheckpointEqualsRestore)
+{
+    // Initial data, one word of it zero: restore() drops the page the
+    // zero word touched, and the direct construction never makes it.
+    Program p = counterProgram();
+    p.data.emplace_back(0x150000000ULL, 0);
+    p.data.emplace_back(0x150002000ULL, 5);
+    Emulator emu(p);
+    emu.run(1234);
+    Checkpoint ckpt = emu.checkpoint();
+
+    Emulator restored(p);
+    restored.restore(ckpt);
+    Emulator direct(p, ckpt);
+    EXPECT_EQ(direct.pc(), restored.pc());
+    EXPECT_EQ(direct.instsExecuted(), restored.instsExecuted());
+    EXPECT_EQ(direct.halted(), restored.halted());
+    EXPECT_EQ(direct.memory().pagesTouched(),
+              restored.memory().pagesTouched());
+    Checkpoint a = direct.checkpoint(), b = restored.checkpoint();
+    EXPECT_EQ(a.regs, b.regs);
+    EXPECT_EQ(a.memory, b.memory);
+
+    while (!restored.halted()) {
+        ASSERT_FALSE(direct.halted());
+        ExecutedInst x = restored.step();
+        ExecutedInst y = direct.step();
+        ASSERT_EQ(x.pc, y.pc);
+        ASSERT_EQ(x.nextPc, y.nextPc);
+        ASSERT_EQ(x.effAddr, y.effAddr);
+    }
+    EXPECT_TRUE(direct.halted());
+    EXPECT_EQ(direct.memory().read64(0x140000000ULL), 1000u);
+    EXPECT_EQ(direct.memory().read64(0x150002000ULL), 5u);
 }

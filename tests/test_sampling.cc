@@ -176,6 +176,17 @@ TEST(CheckpointBlob, CorruptBlobReadsAsErrorNeverAsState)
         emu.step();
     std::string blob = ck::serializeCheckpoint(emu.checkpoint());
 
+    // Swap one field's text for another, keeping the rest of the blob.
+    auto with = [&](const std::string &field, const std::string &text) {
+        std::size_t at = blob.find(" " + field + "=") + field.size() + 2;
+        return blob.substr(0, at) + text +
+               blob.substr(blob.find(' ', at));
+    };
+    std::string regs = blob.substr(blob.find(" regs="),
+                                   blob.find(" mem=") -
+                                       blob.find(" regs="));
+    std::string head = "ckpt1 pc=1000 seq=7 halted=0" + regs;
+
     Checkpoint out;
     std::string error;
     for (const std::string &bad : {
@@ -184,11 +195,88 @@ TEST(CheckpointBlob, CorruptBlobReadsAsErrorNeverAsState)
              blob + " trailing=1",                  // trailing garbage
              std::string("ckpt1 pc=zz seq=0 halted=0 regs= mem="),
              std::string(),                         // empty
+             // Forms strtoull would take but the writer never emits.
+             with("pc", "-1"),                      // sign
+             with("pc", "+1000"),
+             std::string("ckpt1 pc= 1000") +        // leading space
+                 blob.substr(blob.find(" seq=")),
+             with("pc", "0x1000"),                  // prefix
+             with("pc", "1000A"),                   // uppercase hex
+             with("pc", "0001000"),                 // leading zeros
+             with("pc", "123456789abcdef012"),      // 18 digits
+             with("pc", "10000000000000000"),       // 2^64
+             with("seq", "-5"),
+             with("seq", "007"),
+             with("seq", "18446744073709551616"),   // 2^64
+             with("halted", "2"),
+             with("halted", "01"),
+             head + " mem=10:1;8:2",                // descending
+             head + " mem=8:1;8:2",                 // repeated
+             head + " mem=8:1;",                    // dangling ';'
+             head + " mem=8:1;10:",                 // missing word
+             head + " mem=8:01",                    // leading zero
          }) {
         error.clear();
-        EXPECT_FALSE(ck::parseCheckpoint(bad, &out, &error));
-        EXPECT_FALSE(error.empty());
+        EXPECT_FALSE(ck::parseCheckpoint(bad, &out, &error)) << bad;
+        EXPECT_FALSE(error.empty()) << bad;
     }
+
+    // The same templates with canonical fields parse.
+    ASSERT_TRUE(ck::parseCheckpoint(with("pc", "1000"), &out, &error))
+        << error;
+    EXPECT_EQ(out.pc, 0x1000u);
+    ASSERT_TRUE(ck::parseCheckpoint(head + " mem=0:0;8:1;10:ff", &out,
+                                    &error))
+        << error;
+    EXPECT_EQ(out.memory.size(), 3u);
+}
+
+TEST(CheckpointBlob, SerializationIsPinnedByteForByte)
+{
+    // Warm stores hold blobs in exactly this form; a codec change that
+    // moves one byte turns every stored checkpoint into a miss.
+    Checkpoint c;
+    c.regs[1] = ~std::uint64_t(0);
+    c.regs[2] = 1;
+    c.regs[10] = 0x120000a3cULL;
+    c.regs[32] = 0x3ff0000000000000ULL;    // 1.0
+    c.regs[63] = 0xdeadbeefULL;
+    c.pc = 0x120000040ULL;
+    c.seq = 123456789;
+    c.halted = true;
+    c.memory = {{0x0, 0x2a},
+                {0x7ffffff0ULL, 0x0},
+                {0x140000000ULL, 0x3e8},
+                {0x140000008ULL, ~std::uint64_t(0)},
+                {0x140001000ULL, 0x1}};
+    const std::string pinned =
+        "ckpt1 pc=120000040 seq=123456789 halted=1 "
+        "regs=0,ffffffffffffffff,1,0,0,0,0,0,0,0,120000a3c,0,0,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,3ff0000000000000,0,0,0,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,deadbeef "
+        "mem=0:2a;7ffffff0:0;140000000:3e8;140000008:ffffffffffffffff;"
+        "140001000:1";
+    EXPECT_EQ(ck::serializeCheckpoint(c), pinned);
+
+    Checkpoint back;
+    std::string error;
+    ASSERT_TRUE(ck::parseCheckpoint(pinned, &back, &error)) << error;
+    EXPECT_EQ(back.regs, c.regs);
+    EXPECT_EQ(back.pc, c.pc);
+    EXPECT_EQ(back.seq, c.seq);
+    EXPECT_EQ(back.halted, c.halted);
+    EXPECT_EQ(back.memory, c.memory);
+
+    // The empty memory image and the largest sequence number.
+    Checkpoint z;
+    z.seq = ~std::uint64_t(0);
+    std::string zblob = ck::serializeCheckpoint(z);
+    EXPECT_EQ(zblob.substr(0, 40),
+              "ckpt1 pc=0 seq=18446744073709551615 halt");
+    EXPECT_EQ(zblob.substr(zblob.size() - 7), ",0 mem=");
+    ASSERT_TRUE(ck::parseCheckpoint(zblob, &back, &error)) << error;
+    EXPECT_EQ(back.seq, z.seq);
+    EXPECT_TRUE(back.memory.empty());
 }
 
 TEST(CheckpointBlob, ProgramHashKeysWorkloadIdentity)

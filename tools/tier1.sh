@@ -9,6 +9,20 @@ cmake --build build -j
 cd build
 ctest --output-on-failure -j "$@"
 
+# Wait until the daemon on store $1 answers a health request, polling
+# for up to 60 s: a slow host delays start-up, it does not fail it.
+wait_healthy() {
+    deadline=$(($(date +%s) + 60))
+    until ./tools/simalpha submit --store "$1" --op health \
+            > /dev/null 2>&1; do
+        if [ "$(date +%s)" -ge "$deadline" ]; then
+            echo "daemon on $1 not healthy after 60 s" >&2
+            return 1
+        fi
+        sleep 0.1
+    done
+}
+
 # Serve smoke: daemon up, one capped campaign through the socket,
 # clean shutdown — the CLI path the ctest suite exercises in-process.
 SERVE_DIR=$(mktemp -d /tmp/simalpha-tier1-serve-XXXXXX)
@@ -16,7 +30,7 @@ trap 'rm -rf "$SERVE_DIR"' EXIT
 ./tools/simalpha serve --store "$SERVE_DIR/store" --jobs 2 \
     > "$SERVE_DIR/serve.log" 2>&1 &
 SERVE_PID=$!
-sleep 1
+wait_healthy "$SERVE_DIR/store"
 ./tools/simalpha submit --store "$SERVE_DIR/store" \
     --campaign smoke --max-insts 20000 --quiet --timeout 120
 ./tools/simalpha submit --store "$SERVE_DIR/store" --op shutdown \
@@ -32,7 +46,7 @@ trap 'rm -rf "$SERVE_DIR" "$FLEET_DIR"' EXIT
 ./tools/simalpha serve --store "$FLEET_DIR/ref" --jobs 1 \
     > "$FLEET_DIR/ref.log" 2>&1 &
 REF_PID=$!
-sleep 1
+wait_healthy "$FLEET_DIR/ref"
 ./tools/simalpha submit --store "$FLEET_DIR/ref" --campaign smoke \
     --max-insts 20000 --out "$FLEET_DIR/ref.jsonl" --quiet \
     --timeout 120
@@ -45,12 +59,13 @@ W0_PID=$!
 ./tools/simalpha serve --store "$FLEET_DIR/w1" --jobs 2 \
     > "$FLEET_DIR/w1.log" 2>&1 &
 W1_PID=$!
-sleep 1
+wait_healthy "$FLEET_DIR/w0"
+wait_healthy "$FLEET_DIR/w1"
 ./tools/simalpha fleet --store "$FLEET_DIR/front" \
     --workers "$FLEET_DIR/w0/serve.sock,$FLEET_DIR/w1/serve.sock" \
     > "$FLEET_DIR/fleet.log" 2>&1 &
 FLEET_PID=$!
-sleep 1
+wait_healthy "$FLEET_DIR/front"
 ./tools/simalpha submit --store "$FLEET_DIR/front" --campaign smoke \
     --max-insts 20000 --out "$FLEET_DIR/fleet.jsonl" --quiet \
     --timeout 120
