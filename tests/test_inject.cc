@@ -27,6 +27,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -473,6 +474,50 @@ TEST(VulnRunner, ClassifiesEveryCellWithAValidOutcome)
         EXPECT_NE(csv.find(row.target + ","), std::string::npos);
     }
     EXPECT_EQ(json, inj::vulnTableJson(rows));
+}
+
+TEST(VulnRunner, OutcomesOfAFixedPlanArePinned)
+{
+    // Flips into the structures the issue stage indexes (rename map,
+    // window, issue queue, load/store queue) on both cores. Each
+    // cell's outcome, detail, cycles and insts feed one FNV-1a digest
+    // pinned to a literal: a stale wakeup or forwarding index changes
+    // how a flip plays out, and this is the test that sees it.
+    std::string all;
+    for (const char *machine : {"sim-outorder", "sim-alpha"}) {
+        VulnSpec vs;
+        vs.machine = machine;
+        vs.workload = "C-R";
+        vs.maxInsts = 490000;
+        vs.cells = 40;
+        vs.seed = 13;
+        vs.targets = {inj::Target::RenameMap, inj::Target::Rob,
+                      inj::Target::Iq, inj::Target::Lsq};
+        RunnerOptions opts;
+        opts.jobs = 4;
+        ExperimentRunner runner(opts);
+        CampaignResult result = runner.run(vulnCampaign(vs));
+        ASSERT_EQ(result.cells.size(), 40u) << machine;
+        for (const CellResult &r : result.cells) {
+            ASSERT_TRUE(r.ok) << machine << ": " << r.error;
+            // An invariant's message names its source file and line;
+            // neither is an outcome.
+            std::string detail = std::regex_replace(
+                r.injectDetail, std::regex(R"(\S+\.(cc|hh):[0-9]+: )"),
+                "");
+            all += std::string(machine) + '|' +
+                   inj::targetName(r.cell.inject.target) + '|' +
+                   r.injectOutcome + '|' + detail + '|' +
+                   std::to_string(r.cycles) + '|' +
+                   std::to_string(r.instsCommitted) + '\n';
+        }
+    }
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (unsigned char c : all) {
+        digest ^= c;
+        digest *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(digest, 0x6996c81616f98e02ull) << all;
 }
 
 TEST(VulnRunner, InjectedAndSampledCellIsRejected)
