@@ -163,6 +163,8 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
     _nextLoadUseVerify = kNoCycle;
     _issuedStores.clear();
     _issuedLoads.clear();
+    _robStores.clear();
+    _gatesStale = false;
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
     _ffCheckUntil = 0;
@@ -347,47 +349,6 @@ AlphaCore::cycleTick()
 // ---------------------------------------------------------------------
 // Event-driven wakeup: lower bounds on each stage's next action
 // ---------------------------------------------------------------------
-
-Cycle
-AlphaCore::entryIssueLB(const DynInst &inst, bool fp_queue) const
-{
-    Cycle lb = inst.mapCycle + Cycle(_p.mapToIssueCycles);
-    lb = std::max(lb, inst.replayBlockedUntil);
-    if (!inst.wrongPath) {
-        // Wrong-path slots issue whenever a pipe frees; correct-path
-        // entries additionally wait for operands on some cluster.
-        Cycle r;
-        if (fp_queue) {
-            r = operandReadyCycle(inst, 0);
-        } else {
-            Cycle r0 = operandReadyCycle(inst, 0);
-            Cycle r1 = operandReadyCycle(inst, 1);
-            r = std::min(r0, r1);
-        }
-        if (r == kNoCycle)
-            return kNoCycle;
-        lb = std::max(lb, r);
-    }
-    return lb;
-}
-
-Cycle
-AlphaCore::recomputeWakeAt(const IssueQueue &queue, bool fp_queue) const
-{
-    Cycle wake = kNoCycle;
-    for (const DynInst *inst : queue.entries()) {
-        if (inst->issued || inst->retiredEarly)
-            continue;
-        Cycle lb = entryIssueLB(*inst, fp_queue);
-        if (lb <= _cycle) {
-            // Blocked only by per-cycle arbitration (pipe busy,
-            // store-wait): must rescan every cycle.
-            return _cycle + 1;
-        }
-        wake = std::min(wake, lb);
-    }
-    return wake;
-}
 
 Cycle
 AlphaCore::mapEventCycle() const
@@ -598,6 +559,7 @@ AlphaCore::doRetire()
             _mem->dataAccess(head.effAddr, true, _cycle);
             _sqUsed--;
             removeIssuedRef(_issuedStores, head.seq);
+            _robStores.pop_front();     // the head is the oldest store
         }
         if (head.inst.isLoad()) {
             _lqUsed--;
@@ -627,8 +589,14 @@ AlphaCore::doRetire()
         _activity = true;
 
         // Make sure no issue-queue pointer survives the pop.
-        _intIq->remove(&head);
-        _fpIq->remove(&head);
+        _intIq->removeOldest(&head);
+        _fpIq->removeOldest(&head);
+        if (_slowpath) {
+            for (const IssueQueue *q : {_intIq.get(), _fpIq.get()})
+                sim_assert(std::find(q->entries().begin(),
+                                     q->entries().end(),
+                                     &head) == q->entries().end());
+        }
         if (head.halt) {
             _finished = true;
             _rob.pop_front();
@@ -756,6 +724,8 @@ AlphaCore::squashFrom(InstSeq seq, bool refetch_inclusive)
 
     _intIq->squashFrom(seq);
     _fpIq->squashFrom(seq);
+    while (!_robStores.empty() && _robStores.back()->seq >= seq)
+        _robStores.pop_back();
 
     InstSeq lowest_oracle = kNoCycle;
     while (!_rob.empty() && _rob.back().seq >= seq) {
@@ -817,41 +787,99 @@ AlphaCore::scheduleRecovery(const Recovery &rec)
 // Issue
 // ---------------------------------------------------------------------
 
-Cycle
-AlphaCore::operandReadyCycle(const DynInst &inst, int cluster) const
+void
+AlphaCore::operandReadyCycles(const DynInst &inst, Cycle ready[2]) const
 {
-    Cycle ready = 0;
+    // The sim-alpha bypass shortcut: bypassed values ignore the
+    // cross-cluster skew.
+    const bool shortcut = _p.approxBypassLatency || _p.bugAggressiveCluster;
+    // Partial bypass on the 21264: same-pipe forwarding always remains,
+    // so only the register-file cycles beyond the first are exposed to
+    // dependents (the paper's observation that the Alpha's scheduling
+    // absorbs one-cycle bubbles).
+    const Cycle exposed = !_p.fullBypass && _p.regreadCycles > 1
+                              ? Cycle(_p.regreadCycles - 1)
+                              : 0;
+    ready[0] = ready[1] = 0;
     for (int i = 0; i < inst.numSrcs; i++) {
-        PhysReg src = inst.srcPhys[i];
-        Cycle r;
-        if (_p.approxBypassLatency || _p.bugAggressiveCluster) {
-            // The sim-alpha bypass shortcut: bypassed values ignore the
-            // cross-cluster skew.
-            Cycle r0 = _scoreboard->readyAt(src, 0);
-            Cycle r1 = _scoreboard->readyAt(src, 1);
-            r = std::min(r0, r1);
-        } else {
-            r = _scoreboard->readyAt(src, cluster);
+        Cycle r[2] = {_scoreboard->readyAt(inst.srcPhys[i], 0),
+                      _scoreboard->readyAt(inst.srcPhys[i], 1)};
+        if (shortcut)
+            r[0] = r[1] = std::min(r[0], r[1]);
+        for (int c = 0; c < 2; c++) {
+            if (ready[c] != kNoCycle)
+                ready[c] = r[c] == kNoCycle
+                               ? kNoCycle
+                               : std::max(ready[c], r[c] + exposed);
         }
-        if (r == kNoCycle)
-            return kNoCycle;
-        if (!_p.fullBypass && _p.regreadCycles > 1) {
-            // Partial bypass on the 21264: same-pipe forwarding always
-            // remains, so only the register-file cycles beyond the
-            // first are exposed to dependents (the paper's observation
-            // that the Alpha's scheduling absorbs one-cycle bubbles).
-            r += Cycle(_p.regreadCycles - 1);
-        }
-        ready = std::max(ready, r);
     }
-    return ready;
 }
 
-bool
-AlphaCore::operandsReady(const DynInst &inst, int cluster) const
+Cycle
+AlphaCore::gatePass(const IssueQueue &queue, bool fp_queue,
+                    std::vector<IssueCandidate> &out) const
 {
-    Cycle r = operandReadyCycle(inst, cluster);
-    return r != kNoCycle && r <= _cycle;
+    out.clear();
+    Cycle wake = kNoCycle;
+    for (DynInst *inst : queue.entries()) {
+        if (inst->issued || inst->retiredEarly)
+            continue;
+        Cycle lb = std::max(inst->mapCycle + Cycle(_p.mapToIssueCycles),
+                            inst->replayBlockedUntil);
+        IssueCandidate c{inst, inst->inst.opClass(), {0, 0}};
+        if (!inst->wrongPath) {
+            // Wrong-path slots issue whenever a pipe frees; correct-path
+            // entries additionally wait for operands on some cluster.
+            operandReadyCycles(*inst, c.ready);
+            if (fp_queue)
+                c.ready[1] = c.ready[0];    // fp pipes read cluster 0
+            Cycle r = std::min(c.ready[0], c.ready[1]);
+            if (r == kNoCycle)
+                continue;
+            lb = std::max(lb, r);
+        }
+        if (lb > _cycle) {
+            wake = std::min(wake, lb);
+            continue;
+        }
+        out.push_back(c);
+    }
+    // A survivor is blocked only by per-cycle arbitration (pipe busy,
+    // store-wait) if it does not issue: rescan next cycle.
+    return out.empty() ? wake : _cycle + 1;
+}
+
+void
+AlphaCore::checkGatePass(const IssueQueue &queue, bool fp_queue,
+                         const std::vector<IssueCandidate> &cands) const
+{
+    // A fresh pass must find exactly the cached survivors that have not
+    // issued yet, with the same operand cycles.
+    std::vector<IssueCandidate> fresh;
+    gatePass(queue, fp_queue, fresh);
+    std::size_t n = 0;
+    for (const IssueCandidate &c : cands) {
+        if (c.inst->issued)
+            continue;
+        sim_assert(n < fresh.size() && fresh[n].inst == c.inst &&
+                   fresh[n].cls == c.cls &&
+                   fresh[n].ready[0] == c.ready[0] &&
+                   fresh[n].ready[1] == c.ready[1]);
+        n++;
+    }
+    sim_assert(n == fresh.size());
+}
+
+void
+AlphaCore::issueSetReady(PhysReg phys, Cycle ready, int cluster)
+{
+    // Issue allocates results into pending registers at future cycles,
+    // which no cached gate reads. Only injected state that aliases a
+    // physical register breaks that; re-run the gates then.
+    if (!_scoreboard->pending(phys) || ready <= _cycle)
+        _gatesStale = true;
+    _scoreboard->setReady(phys, ready, cluster);
+    noteSetReady(ready);
 }
 
 void
@@ -861,92 +889,128 @@ AlphaCore::doIssue()
     _activity = _fpIq->compact(_cycle) || _activity;
 
     // A queue whose wake-up lower bound lies in the future holds no
-    // entry that can pass the issue gates, so its scan (and every
-    // stateful call inside it, e.g. the store-wait predictor's
-    // shouldWait) is skipped wholesale.
-    Cycle int_wake0 = _intWakeAt;
-    Cycle fp_wake0 = _fpWakeAt;
+    // entry that can pass the issue gates, so its pass (and every
+    // stateful call in its arbitration, e.g. the store-wait
+    // predictor's shouldWait) is skipped wholesale.
+    const Cycle int_wake0 = _intWakeAt;
+    const Cycle fp_wake0 = _fpWakeAt;
+    const bool int_scan = _slowpath || int_wake0 <= _cycle;
+    const bool fp_scan = _slowpath || fp_wake0 <= _cycle;
+
+    if (_slowpath) {
+        std::size_t n = 0;
+        for (const DynInst &di : _rob)
+            if (di.inst.isStore())
+                sim_assert(n < _robStores.size() &&
+                           _robStores[n++] == &di);
+        sim_assert(n == _robStores.size());
+    }
+
+    // One gate pass per queue evaluates everything that cannot change
+    // within the cycle: issue writes scoreboard times > _cycle into
+    // pending registers, recoveries are deferred, and replays happen
+    // in doVerify. The pass's bound replaces the queue's wake-up
+    // cycle; scoreboard writes below only lower it further.
+    _gatesStale = false;
+    _intCands.clear();
+    _fpCands.clear();
+    if (int_scan)
+        _intWakeAt = gatePass(*_intIq, false, _intCands);
+    if (fp_scan)
+        _fpWakeAt = gatePass(*_fpIq, true, _fpCands);
     bool int_issued = false;
     bool fp_issued = false;
 
-    // Per-pipe arbitration: each execution pipe issues the oldest queue
-    // entry that can use it this cycle and whose operands have reached
-    // its cluster — the collapsible-queue oldest-first policy of the
-    // 21264, one winner per pipe.
+    // Per-pipe arbitration: each execution pipe issues the oldest
+    // surviving entry that can use it this cycle and whose operands
+    // have reached its cluster — the collapsible-queue oldest-first
+    // policy of the 21264, one winner per pipe.
     for (int pipe = 0; pipe < _fuPool->numPipes(); pipe++) {
+        if (_gatesStale) {
+            _gatesStale = false;
+            if (int_scan)
+                _intWakeAt = std::min(
+                    _intWakeAt, gatePass(*_intIq, false, _intCands));
+            if (fp_scan)
+                _fpWakeAt = std::min(
+                    _fpWakeAt, gatePass(*_fpIq, true, _fpCands));
+        }
         bool fp_pipe = _fuPool->pipeIsFp(pipe);
-        Cycle wake0 = fp_pipe ? fp_wake0 : int_wake0;
-        if (!_slowpath && wake0 > _cycle)
+        const std::vector<IssueCandidate> &cands =
+            fp_pipe ? _fpCands : _intCands;
+        if (_slowpath)
+            checkGatePass(fp_pipe ? *_fpIq : *_intIq, fp_pipe, cands);
+        if (!_fuPool->pipeFree(pipe, _cycle))
             continue;
-        IssueQueue &queue = fp_pipe ? *_fpIq : *_intIq;
         int cluster = fp_pipe ? -1 : _fuPool->pipeCluster(pipe);
+        int rc = cluster < 0 ? 0 : cluster;
 
-        for (DynInst *inst : queue.entries()) {
-            if (inst->issued || inst->retiredEarly)
-                continue;
-            if (inst->replayBlockedUntil > _cycle)
-                continue;
-            if (inst->mapCycle + Cycle(_p.mapToIssueCycles) > _cycle)
-                continue;
-
-            OpClass cls = inst->inst.opClass();
-            if (!_fuPool->pipeCanIssue(pipe, cls,
-                                       inst->slottedUpper != 0,
-                                       _p.slotRestrict, _cycle))
+        for (const IssueCandidate &c : cands) {
+            DynInst &inst = *c.inst;
+            if (inst.issued)
+                continue;   // won an earlier pipe this cycle
+            if (!_fuPool->pipeFits(pipe, c.cls, inst.slottedUpper != 0,
+                                   _p.slotRestrict))
                 continue;
 
-            if (!inst->wrongPath) {
+            if (!inst.wrongPath) {
                 // Operands must have reached this pipe's cluster.
-                int rc = cluster < 0 ? 0 : cluster;
-                if (!operandsReady(*inst, rc))
+                if (c.ready[rc] > _cycle)
                     continue;
-                if (inst->inst.isLoad() && !storeWaitClear(*inst))
+                if (inst.inst.isLoad() && !storeWaitClear(inst))
                     continue;
             }
 
-            _fuPool->reservePipe(pipe, cls, _cycle);
-            performIssue(*inst, cluster);
-            queue.noteIssued(_cycle);
+            _fuPool->reservePipe(pipe, c.cls, _cycle);
+            performIssue(inst, cluster);
+            (fp_pipe ? *_fpIq : *_intIq).noteIssued(_cycle);
             (fp_pipe ? fp_issued : int_issued) = true;
             _activity = true;
             if (_slowpath)
-                sim_assert(wake0 <= _cycle);
+                sim_assert((fp_pipe ? fp_wake0 : int_wake0) <= _cycle);
             break;      // this pipe is consumed for the cycle
         }
     }
 
-    // A queue that issued must be rescanned next cycle; a queue that
-    // was scanned fruitlessly gets an exact recomputed bound; a queue
-    // that was skipped keeps its bound (clamped by noteSetReady as
-    // operands get scheduled).
-    _intWakeAt = int_issued
-                     ? _cycle + 1
-                     : ((int_wake0 <= _cycle || _slowpath)
-                            ? recomputeWakeAt(*_intIq, false)
-                            : _intWakeAt);
-    _fpWakeAt = fp_issued
-                    ? _cycle + 1
-                    : ((fp_wake0 <= _cycle || _slowpath)
-                           ? recomputeWakeAt(*_fpIq, true)
-                           : _fpWakeAt);
+    // A queue that issued must be rescanned next cycle.
+    if (int_issued)
+        _intWakeAt = _cycle + 1;
+    if (fp_issued)
+        _fpWakeAt = _cycle + 1;
 }
 
 bool
 AlphaCore::storeWaitClear(const DynInst &ld)
 {
     // A load flagged by the store-wait table waits for every earlier
-    // store to resolve its address.
+    // store to resolve its address, i.e. until the oldest store with
+    // !memIssued is younger than the load.
     if (!_p.mboxTraps || !_p.storeWaitTable)
         return true;
     if (!_storeWait->shouldWait(ld.pc, _cycle))
         return true;
-    for (const DynInst &older : _rob) {
-        if (older.seq >= ld.seq)
+    bool clear = true;
+    for (const DynInst *st : _robStores) {
+        if (st->seq >= ld.seq)
             break;
-        if (older.inst.isStore() && !older.memIssued)
-            return false;
+        if (!st->memIssued) {
+            clear = false;
+            break;
+        }
     }
-    return true;
+    if (_slowpath) {
+        bool scan_clear = true;
+        for (const DynInst &older : _rob) {
+            if (older.seq >= ld.seq)
+                break;
+            if (older.inst.isStore() && !older.memIssued) {
+                scan_clear = false;
+                break;
+            }
+        }
+        sim_assert(scan_clear == clear);
+    }
+    return clear;
 }
 
 void
@@ -978,10 +1042,8 @@ AlphaCore::performIssue(DynInst &inst, int cluster)
     if (_p.bugShortMulLatency && cls == OpClass::IntMul)
         latency = 1;
     Cycle done = _cycle + Cycle(latency);
-    if (inst.dstPhys != kNoPhys) {
-        _scoreboard->setReady(inst.dstPhys, done, cluster);
-        noteSetReady(done);
-    }
+    if (inst.dstPhys != kNoPhys)
+        issueSetReady(inst.dstPhys, done, cluster);
     inst.doneCycle = done;
     inst.completed = true;
 
@@ -1068,10 +1130,8 @@ AlphaCore::issueLoad(DynInst &ld)
 
     if (_p.loadUseSpec && pred_hit) {
         // Consumers wake as if the load hits; a miss replays the window.
-        if (ld.dstPhys != kNoPhys) {
-            _scoreboard->setReady(ld.dstPhys, hit_done, ld.cluster);
-            noteSetReady(hit_done);
-        }
+        if (ld.dstPhys != kNoPhys)
+            issueSetReady(ld.dstPhys, hit_done, ld.cluster);
         if (!hit) {
             LoadUseCheck check;
             check.loadSeq = ld.seq;
@@ -1089,10 +1149,8 @@ AlphaCore::issueLoad(DynInst &ld)
         Cycle ready = hit ? hit_done + 2 : real_done;
         if (_p.loadUseSpec && !pred_hit && !hit)
             ready = real_done;
-        if (ld.dstPhys != kNoPhys) {
-            _scoreboard->setReady(ld.dstPhys, ready, ld.cluster);
-            noteSetReady(ready);
-        }
+        if (ld.dstPhys != kNoPhys)
+            issueSetReady(ld.dstPhys, ready, ld.cluster);
     }
 
     ld.dcacheHit = hit;
@@ -1385,6 +1443,8 @@ AlphaCore::doMap()
 
         _rob.push_back(std::move(di));
         DynInst &placed = _rob.back();
+        if (placed.inst.isStore())
+            _robStores.push_back(&placed);
 
         if (remove_early) {
             // Unops vanish at map: they hold a ROB slot but never issue.

@@ -116,21 +116,36 @@ class AlphaCore : public Machine
     void enqueuePacket(std::vector<DynInst> &packet, Cycle fetch_done);
 
     // Issue helpers.
+    /** An entry that passed the cycle-invariant issue gates, with its
+     *  operand-ready cycle on cluster 0 and 1. */
+    struct IssueCandidate
+    {
+        DynInst *inst;
+        OpClass cls;
+        Cycle ready[2];
+    };
+    /** One pass over @p queue: collect into @p out the entries that
+     *  pass every gate except pipe arbitration and store-wait.
+     *  @return the queue's wake-up bound (_cycle + 1 if any passed) */
+    Cycle gatePass(const IssueQueue &queue, bool fp_queue,
+                   std::vector<IssueCandidate> &out) const;
+    /** SIMALPHA_SLOWPATH=1: a fresh gate pass over @p queue finds
+     *  exactly the unissued entries of @p cands, unchanged. */
+    void checkGatePass(const IssueQueue &queue, bool fp_queue,
+                       const std::vector<IssueCandidate> &cands) const;
+    /** Scoreboard write from the issue stage: marks the cycle's gate
+     *  pass stale if it could change a cached operand cycle. */
+    void issueSetReady(PhysReg phys, Cycle ready, int cluster);
     void performIssue(DynInst &inst, int cluster);
     bool storeWaitClear(const DynInst &ld);
-    bool operandsReady(const DynInst &inst, int cluster) const;
-    Cycle operandReadyCycle(const DynInst &inst, int cluster) const;
+    /** Cycle each cluster's consumer of @p inst's operands may issue
+     *  (kNoCycle while a source is pending). */
+    void operandReadyCycles(const DynInst &inst, Cycle ready[2]) const;
     void issueLoad(DynInst &inst);
     void issueStore(DynInst &inst);
     void scheduleRecovery(const Recovery &rec);
 
     // ---- Event-driven wakeup (perf only; cycle-exact semantics) -----
-    /** Earliest cycle @p inst could possibly pass the issue gates
-     *  (kNoCycle while an operand has no scheduled ready time). */
-    Cycle entryIssueLB(const DynInst &inst, bool fp_queue) const;
-    /** Scan @p queue for the earliest possible issue; _cycle + 1 if
-     *  an entry is blocked only by per-cycle arbitration. */
-    Cycle recomputeWakeAt(const IssueQueue &queue, bool fp_queue) const;
     /** A register acquired a scheduled ready time: cap both queues'
      *  wake-up cycles (over-early is safe, over-late never happens). */
     void
@@ -256,6 +271,16 @@ class AlphaCore : public Machine
     Cycle _nextLoadUseVerify = kNoCycle; ///< min pending verifyAt
     std::vector<IssuedMemRef> _issuedStores; ///< seq-sorted, issued
     std::vector<IssuedMemRef> _issuedLoads;  ///< seq-sorted, issued
+    /** Every store in the ROB, in seq order (store-wait's "older
+     *  unresolved store" walk reads only these). */
+    std::deque<const DynInst *> _robStores;
+    /** This cycle's gate-pass survivors per queue (scratch reused
+     *  across cycles). */
+    std::vector<IssueCandidate> _intCands;
+    std::vector<IssueCandidate> _fpCands;
+    /** An issue-stage scoreboard write hit a non-pending register or
+     *  a cycle <= _cycle: re-run the gate pass before the next pipe. */
+    bool _gatesStale = false;
     /** SIMALPHA_SLOWPATH=1: run the original scans, maintain the fast
      *  bookkeeping alongside, and assert they agree. */
     bool _slowpath = false;

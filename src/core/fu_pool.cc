@@ -41,6 +41,15 @@ FuPool::FuPool(bool wrong_mix)
     fmul.cluster = -1;
     fmul.canFpMul = true;
     _pipes.push_back(fmul);
+
+    for (Pipe &p : _pipes) {
+        for (int c = 0; c < kNumOpClasses; c++) {
+            for (int bit = 0; bit < 4; bit++) {
+                if (capable(p, OpClass(c), p.cluster, bit & 1, bit >> 1))
+                    p.fits[c] |= std::uint8_t(1u << bit);
+            }
+        }
+    }
 }
 
 bool
@@ -68,8 +77,8 @@ FuPool::occupancy(OpClass cls)
 }
 
 bool
-FuPool::pipeFits(const Pipe &p, OpClass cls, int cluster,
-                 bool slotted_upper, bool slot_restrict) const
+FuPool::capable(const Pipe &p, OpClass cls, int cluster,
+                bool slotted_upper, bool slot_restrict) const
 {
     switch (cls) {
       case OpClass::FpAdd: case OpClass::FpDivS: case OpClass::FpDivD:
@@ -110,7 +119,7 @@ FuPool::findPipe(OpClass cls, int cluster, bool slotted_upper,
 {
     for (std::size_t i = 0; i < _pipes.size(); i++) {
         const Pipe &p = _pipes[i];
-        if (!pipeFits(p, cls, cluster, slotted_upper, slot_restrict))
+        if (!capable(p, cls, cluster, slotted_upper, slot_restrict))
             continue;
         if (p.lastIssue == now)
             continue;
@@ -126,16 +135,6 @@ FuPool::available(OpClass cls, int cluster, bool slotted_upper,
                   bool slot_restrict, Cycle now) const
 {
     return findPipe(cls, cluster, slotted_upper, slot_restrict, now) >= 0;
-}
-
-bool
-FuPool::pipeCanIssue(int pipe, OpClass cls, bool slotted_upper,
-                     bool slot_restrict, Cycle now) const
-{
-    const Pipe &p = _pipes[std::size_t(pipe)];
-    if (!pipeFits(p, cls, p.cluster, slotted_upper, slot_restrict))
-        return false;
-    return p.lastIssue != now && p.busyUntil <= now;
 }
 
 void

@@ -51,9 +51,33 @@ class FuPool
     int pipeCluster(int pipe) const { return _pipes[pipe].cluster; }
     bool pipeIsFp(int pipe) const { return _pipes[pipe].cluster < 0; }
 
+    /** Is this pipe free this cycle (not yet issued to, not held by
+     *  an unpipelined op)? */
+    bool
+    pipeFree(int pipe, Cycle now) const
+    {
+        const Pipe &p = _pipes[std::size_t(pipe)];
+        return p.lastIssue != now && p.busyUntil <= now;
+    }
+
+    /** Can this pipe execute `cls` for an op slotted to the given
+     *  subcluster (capability only; one table lookup)? */
+    bool
+    pipeFits(int pipe, OpClass cls, bool slotted_upper,
+             bool slot_restrict) const
+    {
+        unsigned mask = _pipes[std::size_t(pipe)].fits[int(cls)];
+        return (mask >> (2 * int(slot_restrict) + int(slotted_upper))) & 1;
+    }
+
     /** Can this pipe execute `cls` this cycle (capability + busy)? */
-    bool pipeCanIssue(int pipe, OpClass cls, bool slotted_upper,
-                      bool slot_restrict, Cycle now) const;
+    bool
+    pipeCanIssue(int pipe, OpClass cls, bool slotted_upper,
+                 bool slot_restrict, Cycle now) const
+    {
+        return pipeFits(pipe, cls, slotted_upper, slot_restrict) &&
+               pipeFree(pipe, now);
+    }
 
     /** Reserve a specific pipe for one op this cycle. */
     void reservePipe(int pipe, OpClass cls, Cycle now);
@@ -70,6 +94,8 @@ class FuPool
     }
 
   private:
+    static constexpr int kNumOpClasses = int(OpClass::Halt) + 1;
+
     struct Pipe
     {
         int cluster;        ///< 0/1 integer clusters, -1 fp
@@ -81,10 +107,13 @@ class FuPool
         bool canFpMul;
         Cycle lastIssue = kNoCycle;  ///< pipelined: one issue per cycle
         Cycle busyUntil = 0;         ///< unpipelined occupancy
+        /** Capability per OpClass on the pipe's own cluster: bit
+         *  (2 * slot_restrict + slotted_upper) says whether it fits. */
+        std::uint8_t fits[kNumOpClasses] = {};
     };
 
-    bool pipeFits(const Pipe &p, OpClass cls, int cluster,
-                  bool slotted_upper, bool slot_restrict) const;
+    bool capable(const Pipe &p, OpClass cls, int cluster,
+                 bool slotted_upper, bool slot_restrict) const;
     int findPipe(OpClass cls, int cluster, bool slotted_upper,
                  bool slot_restrict, Cycle now) const;
     static bool unpipelined(OpClass cls);

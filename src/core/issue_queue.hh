@@ -72,17 +72,19 @@ class IssueQueue
     {
         if (_nextRemoval > now)
             return false;
+        // One pass: erase what is due, re-arm on the earliest of the
+        // issued entries that stay.
+        _nextRemoval = kNoCycle;
         std::size_t removed = std::erase_if(
             _entries, [&](const DynInst *inst) {
-                return inst->issued &&
-                       now >= inst->issueCycle + Cycle(_removalDelay);
+                if (!inst->issued)
+                    return false;
+                Cycle at = inst->issueCycle + Cycle(_removalDelay);
+                if (now >= at)
+                    return true;
+                _nextRemoval = std::min(_nextRemoval, at);
+                return false;
             });
-        _nextRemoval = kNoCycle;
-        for (const DynInst *inst : _entries)
-            if (inst->issued)
-                _nextRemoval =
-                    std::min(_nextRemoval,
-                             inst->issueCycle + Cycle(_removalDelay));
         return removed != 0;
     }
 
@@ -109,12 +111,14 @@ class IssueQueue
         });
     }
 
-    /** Remove one specific instruction (eager removal at issue). */
+    /** Remove the oldest in-flight instruction at retire. Entries are
+     *  age-ordered and all still in flight, so if @p inst is resident
+     *  it is the front entry. */
     void
-    remove(const DynInst *inst)
+    removeOldest(const DynInst *inst)
     {
-        std::erase_if(_entries,
-                      [inst](const DynInst *e) { return e == inst; });
+        if (!_entries.empty() && _entries.front() == inst)
+            _entries.erase(_entries.begin());
     }
 
     /** Age-ordered scan access. */

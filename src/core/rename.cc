@@ -106,15 +106,6 @@ Scoreboard::Scoreboard(int phys_regs)
 {
 }
 
-Cycle
-Scoreboard::readyAt(PhysReg phys, int cluster) const
-{
-    sim_assert(phys != kNoPhys);
-    if (_state[phys].isPending)
-        return kNoCycle;
-    return _state[phys].ready[cluster & 1];
-}
-
 void
 Scoreboard::setReady(PhysReg phys, Cycle ready, int producing_cluster)
 {

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/dyninst.hh"
 
 namespace simalpha {
@@ -77,7 +78,13 @@ class Scoreboard
     explicit Scoreboard(int phys_regs);
 
     /** Earliest issue cycle of a consumer of `phys` in `cluster`. */
-    Cycle readyAt(PhysReg phys, int cluster) const;
+    Cycle
+    readyAt(PhysReg phys, int cluster) const
+    {
+        sim_assert(phys != kNoPhys);
+        const State &s = _state[std::size_t(phys)];
+        return s.isPending ? kNoCycle : s.ready[cluster & 1];
+    }
 
     /**
      * Record a result: same-cluster consumers may issue at `ready`,

@@ -83,6 +83,8 @@ RuuCore::resetMachine(const Program &program, const Checkpoint *start)
     _lsqUsed = 0;
     _inflightDst = 0;
     _issueWakeAt = 0;
+    _waiting.clear();
+    _stores.clear();
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
     _ffCheckUntil = 0;
@@ -261,6 +263,9 @@ RuuCore::doRecovery()
 
     while (!_fetchBuf.empty() && _fetchBuf.back().seq > rec.seq)
         _fetchBuf.pop_back();
+    // Squashed entries are wrong-path, so never in _stores.
+    while (!_waiting.empty() && _waiting.back()->seq > rec.seq)
+        _waiting.pop_back();
     while (!_ruu.empty() && _ruu.back().seq > rec.seq) {
         sim_assert(_ruu.back().wrongPath);
         if (_ruu.back().inst.isMem())
@@ -313,6 +318,12 @@ RuuCore::doCommit()
             _lsqUsed--;
         if (head.dst != kNoReg && !head.wrongPath)
             _inflightDst--;
+        // Only an injected issued-flag flip lets an unissued entry
+        // commit; it is then the oldest waiting one.
+        if (!_waiting.empty() && _waiting.front() == &head)
+            _waiting.erase(_waiting.begin());
+        if (!_stores.empty() && _stores.front() == &head)
+            _stores.pop_front();
         _ruu.pop_front();
     }
 }
@@ -320,22 +331,34 @@ RuuCore::doCommit()
 Cycle
 RuuCore::srcReady(const RuuInst &inst) const
 {
+    // A resident consumer has every older correct-path entry either
+    // still resident or committed (squashes only pop younger,
+    // wrong-path entries), so a producer below the RUU head has
+    // committed and its handle is valid otherwise.
+    const InstSeq oldest = _ruu.front().seq;
     Cycle ready = 0;
     for (int i = 0; i < inst.numSrcs; i++) {
-        InstSeq writer = inst.producers[i];
-        if (writer == kNoCycle)
-            continue;   // value was architecturally ready at dispatch
-        // Find the producer in the RUU (seq-ordered).
-        auto it = std::lower_bound(
-            _ruu.begin(), _ruu.end(), writer,
-            [](const RuuInst &a, InstSeq s) { return a.seq < s; });
-        if (it == _ruu.end() || it->seq != writer)
-            continue;
-        if (!it->issued)
+        const RuuInst *p = inst.producerEntry[i];
+        if (!p || inst.producers[i] < oldest)
+            continue;   // value architecturally ready
+        if (!p->issued)
             return kNoCycle;
-        ready = std::max(ready, it->doneCycle);
+        ready = std::max(ready, p->doneCycle);
     }
     return ready;
+}
+
+bool
+RuuCore::storeForwards(const RuuInst &ld) const
+{
+    // Perfect disambiguation: any older in-flight store to the word.
+    for (const RuuInst *st : _stores) {
+        if (st->seq >= ld.seq)
+            break;
+        if ((st->effAddr >> 3) == (ld.effAddr >> 3))
+            return true;
+    }
+    return false;
 }
 
 bool
@@ -402,20 +425,61 @@ RuuCore::issueEntryLB(const RuuInst &inst) const
     return lb;
 }
 
-Cycle
-RuuCore::recomputeIssueWake() const
+void
+RuuCore::rebuildWaiting()
 {
-    Cycle wake = kNoCycle;
+    _waiting.clear();
+    for (RuuInst &inst : _ruu)
+        if (!inst.issued)
+            _waiting.push_back(&inst);
+}
+
+void
+RuuCore::checkIssueIndexes() const
+{
+    // The waiting list is exactly the unissued entries, in RUU order.
+    std::size_t w = 0;
     for (const RuuInst &inst : _ruu) {
-        Cycle lb = issueEntryLB(inst);
-        if (lb <= _cycle) {
-            // Held back only by FU or issue-width arbitration: the
-            // scan must rerun every cycle.
-            return _cycle + 1;
-        }
-        wake = std::min(wake, lb);
+        if (inst.issued)
+            continue;
+        sim_assert(w < _waiting.size() && _waiting[w] == &inst);
+        w++;
     }
-    return wake;
+    sim_assert(w == _waiting.size());
+
+    // The store index is exactly the resident correct-path stores.
+    std::size_t s = 0;
+    for (const RuuInst &inst : _ruu) {
+        if (!inst.inst.isStore() || inst.wrongPath)
+            continue;
+        sim_assert(s < _stores.size() && _stores[s] == &inst);
+        s++;
+    }
+    sim_assert(s == _stores.size());
+
+    // Every producer handle reads what a seq search of the RUU finds.
+    for (const RuuInst *inst : _waiting) {
+        if (inst->wrongPath)
+            continue;
+        Cycle ready = 0;
+        for (int i = 0; i < inst->numSrcs; i++) {
+            InstSeq writer = inst->producers[i];
+            if (writer == kNoCycle)
+                continue;
+            auto it = std::lower_bound(
+                _ruu.begin(), _ruu.end(), writer,
+                [](const RuuInst &a, InstSeq q) { return a.seq < q; });
+            if (it == _ruu.end() || it->seq != writer)
+                continue;
+            sim_assert(&*it == inst->producerEntry[i]);
+            if (!it->issued) {
+                ready = kNoCycle;
+                break;
+            }
+            ready = std::max(ready, it->doneCycle);
+        }
+        sim_assert(ready == srcReady(*inst));
+    }
 }
 
 Cycle
@@ -484,23 +548,33 @@ RuuCore::doIssue()
     Cycle wake0 = _issueWakeAt;
     if (!_slowpath && wake0 > _cycle)
         return;     // no entry can pass the issue gates yet
+    if (_slowpath)
+        checkIssueIndexes();
 
+    // One oldest-first pass over the waiting entries: issue up to the
+    // width, keep the rest (compacted in place), and take the exact
+    // wake-up bound from the entries the pass evaluates. An issue
+    // sets doneCycle > _cycle, so no entry becomes ready mid-pass.
     int issued = 0;
-    for (RuuInst &inst : _ruu) {
-        if (issued >= _p.issueWidth)
-            break;
-        if (inst.issued || !inst.dispatched)
+    Cycle wake = kNoCycle;
+    std::size_t keep = 0;
+    std::size_t n = _waiting.size();
+    std::size_t i = 0;
+    for (; i < n && issued < _p.issueWidth; i++) {
+        RuuInst &inst = *_waiting[i];
+        Cycle lb = issueEntryLB(inst);
+        if (lb > _cycle) {
+            wake = std::min(wake, lb);
+            _waiting[keep++] = &inst;
             continue;
-        if (inst.dispatchCycle + 1 > _cycle)
-            continue;
-        if (!inst.wrongPath) {
-            Cycle r = srcReady(inst);
-            if (r == kNoCycle || r > _cycle)
-                continue;
         }
         OpClass cls = inst.inst.opClass();
-        if (!fuAvailable(cls))
+        if (!fuAvailable(cls)) {
+            // Held back only by FU arbitration: rescan next cycle.
+            wake = _cycle + 1;
+            _waiting[keep++] = &inst;
             continue;
+        }
         consumeFu(cls);
 
         inst.issued = true;
@@ -517,17 +591,7 @@ RuuCore::doIssue()
         } else if (inst.inst.isLoad()) {
             // Perfect disambiguation: forward from any older in-flight
             // store to the same word, else access the cache.
-            bool forwarded = false;
-            for (auto it = _ruu.rbegin(); it != _ruu.rend(); ++it) {
-                if (it->seq >= inst.seq || it->wrongPath)
-                    continue;
-                if (it->inst.isStore() &&
-                    (it->effAddr >> 3) == (inst.effAddr >> 3)) {
-                    forwarded = true;
-                    break;
-                }
-            }
-            if (forwarded) {
+            if (storeForwards(inst)) {
                 done = _cycle + Cycle(inst.inst.latency());
                 ++_c.storeForwards;
             } else {
@@ -560,10 +624,14 @@ RuuCore::doIssue()
             inst.doneCycle = std::max(inst.doneCycle, resolve);
         }
     }
+    for (; i < n; i++)
+        _waiting[keep++] = _waiting[i];
+    _waiting.resize(keep);
 
     // An issue schedules new done cycles for consumers: rescan next
-    // cycle. A fruitless scan earns an exact recomputed bound.
-    _issueWakeAt = issued ? _cycle + 1 : recomputeIssueWake();
+    // cycle. A fruitless pass visited every waiting entry, so its
+    // bound is exact.
+    _issueWakeAt = issued ? _cycle + 1 : wake;
 }
 
 void
@@ -607,8 +675,18 @@ RuuCore::doDispatch()
         if (!inst.wrongPath) {
             for (int i = 0; i < inst.numSrcs; i++) {
                 InstSeq writer = _regWriter[inst.srcs[i]];
-                if (writer != kNoCycle && writer < inst.seq)
-                    inst.producers[i] = writer;
+                if (writer == kNoCycle || writer >= inst.seq)
+                    continue;
+                inst.producers[i] = writer;
+                // Every older entry has dispatched, so a writer not
+                // resident now never will be (no handle: ready).
+                auto it = std::lower_bound(
+                    _ruu.begin(), _ruu.end(), writer,
+                    [](const RuuInst &a, InstSeq q) {
+                        return a.seq < q;
+                    });
+                if (it != _ruu.end() && it->seq == writer)
+                    inst.producerEntry[i] = &*it;
             }
             if (inst.dst != kNoReg)
                 _regWriter[inst.dst] = inst.seq;
@@ -618,6 +696,9 @@ RuuCore::doDispatch()
         if (inst.dst != kNoReg && !inst.wrongPath)
             _inflightDst++;
         _ruu.push_back(std::move(inst));
+        _waiting.push_back(&_ruu.back());
+        if (_ruu.back().inst.isStore() && !_ruu.back().wrongPath)
+            _stores.push_back(&_ruu.back());
         dispatched++;
         ++_c.instsDispatched;
     }

@@ -124,6 +124,11 @@ class RuuCore : public Machine
         /** In-flight producer of each source, captured at dispatch
          *  (kNoCycle = value already architecturally available). */
         InstSeq producers[3] = {kNoCycle, kNoCycle, kNoCycle};
+        /** The producer's RUU entry; nullptr if it had already left
+         *  the RUU at dispatch. Valid while producers[i] is not below
+         *  the RUU head's seq (deque references survive push_back
+         *  and pop_front). */
+        const RuuInst *producerEntry[3] = {nullptr, nullptr, nullptr};
         int numSrcs = 0;
         RegIndex dst = kNoReg;
     };
@@ -146,15 +151,22 @@ class RuuCore : public Machine
     void doFetch();
     bool fuAvailable(OpClass cls) const;
     void consumeFu(OpClass cls);
+    /** Cycle every source of @p inst is available: O(1) per source
+     *  through the producer handles (kNoCycle = a producer has not
+     *  issued). */
     Cycle srcReady(const RuuInst &inst) const;
+    /** Older in-flight store to the same word as load @p ld? */
+    bool storeForwards(const RuuInst &ld) const;
 
     // ---- Event-driven wakeup (perf only; cycle-exact semantics) -----
     /** Earliest cycle @p inst could pass the issue gates (kNoCycle if
      *  unissuable: already issued, or a producer not yet scheduled). */
     Cycle issueEntryLB(const RuuInst &inst) const;
-    /** Exact refresh of the issue wake-up bound; _cycle + 1 when an
-     *  entry is blocked only by FU/width arbitration. */
-    Cycle recomputeIssueWake() const;
+    /** Rebuild _waiting from the RUU (after an injected flip). */
+    void rebuildWaiting();
+    /** SIMALPHA_SLOWPATH=1: assert the issue indexes against fresh
+     *  scans of the RUU. */
+    void checkIssueIndexes() const;
     /** Earliest cycle dispatch could act (kNoCycle while blocked on a
      *  condition another tracked event must clear). */
     Cycle dispatchEventCycle() const;
@@ -233,6 +245,12 @@ class RuuCore : public Machine
      *  physical-register pressure scan). */
     int _inflightDst = 0;
     Cycle _issueWakeAt = 0;     ///< earliest possible issue
+    /** Dispatched, not-issued RUU entries in seq order: the only
+     *  entries the issue stage visits. */
+    std::vector<RuuInst *> _waiting;
+    /** Correct-path stores resident in the RUU, in seq order (the
+     *  store-forwarding index). */
+    std::deque<const RuuInst *> _stores;
     /** SIMALPHA_SLOWPATH=1: execute every cycle, keep the fast
      *  bookkeeping alongside, and assert they agree. */
     bool _slowpath = false;

@@ -196,8 +196,10 @@ RuuCore::applyInjection()
     }
 
     _injectNote = note;
-    // The cached issue bound is a lower bound computed from pre-flip
-    // state; the flip can make issue possible earlier.
+    // An issued-flag flip moves an entry into or out of the waiting
+    // list. The cached issue bound is a lower bound computed from
+    // pre-flip state; the flip can make issue possible earlier.
+    rebuildWaiting();
     _issueWakeAt = _cycle;
 }
 

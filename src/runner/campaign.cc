@@ -140,8 +140,8 @@ workloadNames()
     std::vector<std::string> names = microbenchNames();
     for (const MacroProfile &p : spec2000Profiles())
         names.push_back(p.name);
-    for (const Program &p : streamSuite(65536, 2))
-        names.push_back(p.name);
+    for (StreamKernel k : kStreamKernels)
+        names.push_back(streamKernelName(k));
     names.push_back("lmbench");
     return names;
 }
@@ -158,9 +158,9 @@ buildWorkload(const std::string &name, Program *out, std::string *error)
         return true;
     }
 
-    for (Program &p : streamSuite(65536, 2)) {
-        if (p.name == name) {
-            *out = p;
+    for (StreamKernel k : kStreamKernels) {
+        if (name == streamKernelName(k)) {
+            *out = streamBenchmark(k, 65536, 2);
             return true;
         }
     }

@@ -876,6 +876,7 @@ runBenchCommand(int argc, char **argv)
             return 1;
         }
         if (!r.baseline.valid || r.baseline.detailed.ips <= 0.0 ||
+            r.baseline.abstracted.ips <= 0.0 ||
             r.baseline.emulator.ips <= 0.0) {
             std::fprintf(stderr,
                          "bench: --smoke: %s has no usable pinned "
@@ -898,16 +899,17 @@ runBenchCommand(int argc, char **argv)
         if (cap)
             t3 = t3.withMaxInsts(cap);
         // Up to three attempts, keeping the best ips seen per path
-        // and stopping as soon as both clear the floor. Interference
+        // and stopping as soon as all clear the floor. Interference
         // on a shared machine is one-sided (it only ever slows a
         // trial down), so retrying shields the gate from transient
         // throttling while a genuine regression still fails every
         // attempt.
-        PerfPath det, emu;
-        double det_ratio = 0.0, emu_ratio = 0.0;
+        PerfPath det, abst, emu;
+        double det_ratio = 0.0, abs_ratio = 0.0, emu_ratio = 0.0;
         for (int attempt = 0; attempt < 3; attempt++) {
-            PerfPath d, e2;
+            PerfPath d, a, e2;
             if (!timeMachinePath(t3, "sim-alpha", &d, &error) ||
+                !timeMachinePath(t3, "sim-outorder", &a, &error) ||
                 !timeEmulatorPath(t3, cap, &e2, &error)) {
                 std::fprintf(stderr,
                              "bench: smoke measurement failed: %s\n",
@@ -916,18 +918,23 @@ runBenchCommand(int argc, char **argv)
             }
             if (attempt == 0 || d.ips > det.ips)
                 det = d;
+            if (attempt == 0 || a.ips > abst.ips)
+                abst = a;
             if (attempt == 0 || e2.ips > emu.ips)
                 emu = e2;
             det_ratio = det.ips / r.baseline.detailed.ips;
+            abs_ratio = abst.ips / r.baseline.abstracted.ips;
             emu_ratio = emu.ips / r.baseline.emulator.ips;
-            if (det_ratio >= 0.8 && emu_ratio >= 0.8)
+            if (det_ratio >= 0.8 && abs_ratio >= 0.8 && emu_ratio >= 0.8)
                 break;
         }
         printPath("detailed", det);
+        printPath("abstract", abst);
         printPath("emulator", emu);
-        std::printf("detailed vs baseline: %.2fx, emulator vs "
-                    "baseline: %.2fx (floor 0.80x)\n",
-                    det_ratio, emu_ratio);
+        std::printf("detailed vs baseline: %.2fx, abstract vs "
+                    "baseline: %.2fx, emulator vs baseline: %.2fx "
+                    "(floor 0.80x)\n",
+                    det_ratio, abs_ratio, emu_ratio);
         if (r.baseline.buildType != SIMALPHA_BUILD_TYPE) {
             std::printf("bench: smoke: build type %s differs from "
                         "baseline %s — thresholds reported, not "
@@ -936,7 +943,7 @@ runBenchCommand(int argc, char **argv)
                         r.baseline.buildType.c_str());
             return 0;
         }
-        if (det_ratio < 0.8 || emu_ratio < 0.8) {
+        if (det_ratio < 0.8 || abs_ratio < 0.8 || emu_ratio < 0.8) {
             std::fprintf(stderr,
                          "bench: smoke FAILED: ips regressed more "
                          "than 20%% against the pinned baseline\n");

@@ -170,13 +170,14 @@ bool checkPerfFile(const std::string &path, std::string *error);
  *   --out FILE      trajectory file (default BENCH_perf.json)
  *   --check FILE    validate FILE's schema only; no measurement
  *   --set-baseline  pin this measurement as the new baseline too
- *   --smoke         regression gate: re-measure only the detailed and
- *                   emulator rows at the pinned baseline's cap and
- *                   fail (exit 1) if either drops below 80% of the
- *                   baseline ips. Never writes the trajectory file;
- *                   when the running build type differs from the
- *                   baseline's the thresholds are reported but not
- *                   enforced (cross-build ips are incomparable).
+ *   --smoke         regression gate: re-measure only the detailed,
+ *                   abstract and emulator rows at the pinned
+ *                   baseline's cap and fail (exit 1) if any drops
+ *                   below 80% of the baseline ips. Never writes the
+ *                   trajectory file; when the running build type
+ *                   differs from the baseline's the thresholds are
+ *                   reported but not enforced (cross-build ips are
+ *                   incomparable).
  * Exit codes: 0 ok, 1 measurement/validation failure, 2 usage.
  */
 int runBenchCommand(int argc, char **argv);

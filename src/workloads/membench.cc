@@ -28,8 +28,10 @@ loadImm64(ProgramBuilder &b, RegIndex reg, std::int64_t value)
         b.lda(reg, lo, reg);
 }
 
+} // namespace
+
 const char *
-kernelName(StreamKernel k)
+streamKernelName(StreamKernel k)
 {
     switch (k) {
       case StreamKernel::Copy: return "stream-copy";
@@ -40,12 +42,10 @@ kernelName(StreamKernel k)
     return "stream";
 }
 
-} // namespace
-
 Program
 streamBenchmark(StreamKernel kernel, int elems, int repeats)
 {
-    ProgramBuilder b(kernelName(kernel));
+    ProgramBuilder b(streamKernelName(kernel));
 
     // Three disjoint arrays, each elems * 8 bytes.
     const std::int64_t bytes = std::int64_t(elems) * 8;
@@ -110,10 +110,10 @@ streamBenchmark(StreamKernel kernel, int elems, int repeats)
 std::vector<Program>
 streamSuite(int elems, int repeats)
 {
-    return {streamBenchmark(StreamKernel::Copy, elems, repeats),
-            streamBenchmark(StreamKernel::Scale, elems, repeats),
-            streamBenchmark(StreamKernel::Add, elems, repeats),
-            streamBenchmark(StreamKernel::Triad, elems, repeats)};
+    std::vector<Program> suite;
+    for (StreamKernel k : kStreamKernels)
+        suite.push_back(streamBenchmark(k, elems, repeats));
+    return suite;
 }
 
 Program

@@ -18,6 +18,14 @@ namespace workloads {
 
 enum class StreamKernel { Copy, Scale, Add, Triad };
 
+/** Every stream kernel, in the order streamSuite() builds them. */
+constexpr StreamKernel kStreamKernels[] = {
+    StreamKernel::Copy, StreamKernel::Scale, StreamKernel::Add,
+    StreamKernel::Triad};
+
+/** The kernel's program name ("stream-copy", ...). */
+const char *streamKernelName(StreamKernel k);
+
 /**
  * One stream kernel over arrays of `elems` 8-byte elements.
  * copy:  c[i] = a[i]

@@ -70,12 +70,8 @@
 #include "store/store.hh"
 #include "validate/machines.hh"
 #include "validate/manifest.hh"
-#include "workloads/macro.hh"
-#include "workloads/membench.hh"
-#include "workloads/microbench.hh"
 
 using namespace simalpha;
-using namespace simalpha::workloads;
 using namespace simalpha::validate;
 
 namespace {
@@ -112,28 +108,6 @@ selfExePath(const char *argv0)
         return buf;
     }
     return argv0 ? argv0 : "simalpha";
-}
-
-struct NamedProgram
-{
-    std::string name;
-    Program program;
-};
-
-std::vector<NamedProgram>
-catalogue()
-{
-    std::vector<NamedProgram> all;
-    auto micro = microbenchSuite();
-    auto names = microbenchNames();
-    for (std::size_t i = 0; i < micro.size(); i++)
-        all.push_back({names[i], micro[i]});
-    for (Program &p : spec2000Suite())
-        all.push_back({p.name, p});
-    for (Program &p : streamSuite(65536, 2))
-        all.push_back({p.name, p});
-    all.push_back({"lmbench", lmbenchLatency(8192, 64, 30000)});
-    return all;
 }
 
 std::vector<std::string>
@@ -1296,8 +1270,8 @@ realMain(int argc, char **argv)
         for (const std::string &m : machineNames())
             std::printf("  %s\n", m.c_str());
         std::printf("workloads:\n");
-        for (const NamedProgram &p : catalogue())
-            std::printf("  %s\n", p.name.c_str());
+        for (const std::string &w : runner::workloadNames())
+            std::printf("  %s\n", w.c_str());
         return 0;
     }
 
@@ -1315,17 +1289,13 @@ realMain(int argc, char **argv)
         fatal("--workload is required (or use --list)");
     }
 
-    const Program *prog = nullptr;
-    auto all = catalogue();
-    for (const NamedProgram &p : all)
-        if (p.name == *workload_name)
-            prog = &p.program;
-    if (!prog)
+    Program prog;
+    if (!runner::buildWorkload(*workload_name, &prog, nullptr))
         fatal("unknown workload '%s' (use --list)",
               workload_name->c_str());
 
     auto machine = makeMachine(machine_name);
-    RunResult r = machine->run(*prog, cli.maxInsts);
+    RunResult r = machine->run(prog, cli.maxInsts);
 
     std::printf("machine   %s\n", r.machine.c_str());
     std::printf("workload  %s\n", r.program.c_str());

@@ -80,9 +80,9 @@ wait "$W0_PID" "$W1_PID"
 cmp "$FLEET_DIR/ref.jsonl" "$FLEET_DIR/fleet.jsonl"
 echo "fleet smoke: OK (2-worker stream byte-identical)"
 
-# Bench smoke: re-measure the detailed and emulator rows against the
-# pinned baseline in BENCH_perf.json at the repo root and fail on a
-# >20% ips regression. When the local build type differs from the
-# baseline's, the ratios are reported but not enforced.
+# Bench smoke: re-measure the detailed, abstract and emulator rows
+# against the pinned baseline in BENCH_perf.json at the repo root and
+# fail on a >20% ips regression. When the local build type differs
+# from the baseline's, the ratios are reported but not enforced.
 (cd .. && ./build/tools/simalpha bench --smoke)
 echo "bench smoke: OK"
