@@ -61,14 +61,27 @@ class SimError : public std::runtime_error
     bool _retryable;
 };
 
-/** A violated simulator invariant — sim_assert()/panic(). */
+/**
+ * A violated simulator invariant — sim_assert()/panic(). The source
+ * location is kept apart from the message: what() is the diagnosis
+ * that result artifacts may carry, so it must not depend on where the
+ * tree was checked out or on line numbers. Only stderr reports (the
+ * top-level driver, SIMALPHA_ABORT_ON_PANIC) print location().
+ */
 class InvariantError : public SimError
 {
   public:
-    explicit InvariantError(const std::string &message)
-        : SimError("invariant", message)
+    explicit InvariantError(const std::string &message,
+                            std::string location = "")
+        : SimError("invariant", message), _location(std::move(location))
     {
     }
+
+    /** "file:line" of the panic site; empty if raised elsewhere. */
+    const std::string &location() const { return _location; }
+
+  private:
+    std::string _location;
 };
 
 /** A user error: bad configuration or argument — fatal(). */

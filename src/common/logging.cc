@@ -60,7 +60,7 @@ panicImpl(const char *file, int line, const char *fmt, ...)
                      message.c_str());
         std::abort();
     }
-    throw InvariantError(where + ": " + message);
+    throw InvariantError(message, where);
 }
 
 void

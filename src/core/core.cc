@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ranges>
 
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -98,11 +99,15 @@ void
 AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
 {
     _prog = &program;
-    // The oracle is program state and is rebuilt every run; every other
-    // sub-unit's geometry is fixed by _p, so on reuse the units are
-    // reset in place instead of reallocated (campaign core reuse).
-    _oracle = start ? std::make_unique<OracleStream>(program, *start)
-                    : std::make_unique<OracleStream>(program);
+    // Every sub-unit's geometry is fixed by _p, so on reuse the units
+    // (the oracle's record buffer included) are reset in place instead
+    // of reallocated (campaign core reuse). The oracle buffers at most
+    // the correct-path part of the window.
+    const std::size_t window =
+        std::size_t(_p.robEntries + _p.fetchQueueEntries);
+    if (!_oracle)
+        _oracle = std::make_unique<OracleStream>(window);
+    _oracle->reset(program, start);
     if (!_mem) {
         _mem = std::make_unique<MemorySystem>(_p.mem);
         _rename =
@@ -151,8 +156,8 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
     _lqUsed = 0;
     _sqUsed = 0;
     _lastCommitCycle = 0;
-    _fetchQueue.clear();
-    _rob.clear();
+    _window.reset(window);
+    _robCount = 0;
     _recovery.reset();
     _loadUseChecks.clear();
     _outstandingMisses.clear();
@@ -163,7 +168,7 @@ AlphaCore::resetMachine(const Program &program, const Checkpoint *start)
     _nextLoadUseVerify = kNoCycle;
     _issuedStores.clear();
     _issuedLoads.clear();
-    _robStores.clear();
+    _robStores.reset(std::size_t(_p.robEntries));
     _gatesStale = false;
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
@@ -275,9 +280,9 @@ AlphaCore::deadlockSnapshot(const Program &program) const
     info.lastCommitCycle = _lastCommitCycle;
     info.committed = _committed;
     info.fetchPc = _fetchPc;
-    info.windowOccupancy = _rob.size();
-    if (!_rob.empty()) {
-        const DynInst &h = _rob.front();
+    info.windowOccupancy = _robCount;
+    if (_robCount) {
+        const DynInst &h = _window.front();
         char buf[192];
         std::snprintf(buf, sizeof(buf),
                       "seq=%llu pc=0x%llx %s wp=%d issued=%d "
@@ -295,7 +300,7 @@ AlphaCore::deadlockSnapshot(const Program &program) const
                   "mapBlocked=%llu recovery=%d intIq=%d fpIq=%d",
                   (unsigned long long)_fetchResumeAt,
                   int(_wrongPathMode), int(_haltFetched),
-                  _fetchQueue.size(),
+                  fetchQueueSize(),
                   (unsigned long long)_mapBlockedUntil,
                   int(_recovery.has_value()), _intIq->size(),
                   _fpIq->size());
@@ -356,11 +361,11 @@ AlphaCore::mapEventCycle() const
     // Mirrors doMap's first-iteration gates. Conditions that only a
     // tracked event can clear (ROB/queue space) report kNoCycle; the
     // event that clears them is in nextEventCycle()'s min.
-    if (_fetchQueue.empty())
+    if (!fetchQueueSize())
         return kNoCycle;
-    const DynInst &front = _fetchQueue.front();
+    const DynInst &front = _window[_robCount];
     Cycle cand = std::max(front.readyForMap, _mapBlockedUntil);
-    if (int(_rob.size()) >= _p.robEntries)
+    if (int(_robCount) >= _p.robEntries)
         return kNoCycle;
     bool is_nop = front.inst.isNop();
     bool remove_early =
@@ -397,7 +402,7 @@ AlphaCore::fetchEventCycle() const
     // change only when fetch, map, or a recovery acts.
     if (_haltFetched && !_wrongPathMode)
         return kNoCycle;
-    if (int(_fetchQueue.size()) + _p.fetchWidth > _p.fetchQueueEntries)
+    if (int(fetchQueueSize()) + _p.fetchWidth > _p.fetchQueueEntries)
         return kNoCycle;
     if (!_wrongPathMode && _oracle->exhausted())
         return kNoCycle;
@@ -411,8 +416,8 @@ AlphaCore::nextEventCycle() const
     if (_recovery)
         ev = std::min(ev, _recovery->atCycle);
     ev = std::min(ev, _nextLoadUseVerify);
-    if (!_rob.empty()) {
-        const DynInst &head = _rob.front();
+    if (_robCount) {
+        const DynInst &head = _window.front();
         // Incomplete or wrong-path heads unblock via issue/recovery
         // events; a recovery-gated head unblocks when it fires.
         if (!head.wrongPath && head.completed &&
@@ -537,8 +542,8 @@ void
 AlphaCore::doRetire()
 {
     int retired = 0;
-    while (retired < _p.retireWidth && !_rob.empty()) {
-        DynInst &head = _rob.front();
+    while (retired < _p.retireWidth && _robCount) {
+        DynInst &head = _window.front();
         if (head.wrongPath) {
             // A wrong-path head can only exist while its squashing
             // recovery is still pending.
@@ -597,12 +602,13 @@ AlphaCore::doRetire()
                                      q->entries().end(),
                                      &head) == q->entries().end());
         }
-        if (head.halt) {
+        const bool halt = head.halt;
+        _window.pop_front();
+        _robCount--;
+        if (halt) {
             _finished = true;
-            _rob.pop_front();
             return;
         }
-        _rob.pop_front();
     }
 }
 
@@ -661,9 +667,9 @@ AlphaCore::doVerify()
         // Fix the resolving branch's own speculative history shift and
         // repair the line predictor toward the actual target.
         DynInst *causer = nullptr;
-        for (auto it = _rob.rbegin(); it != _rob.rend(); ++it) {
-            if (it->seq == rec.seq) {
-                causer = &*it;
+        for (DynInst &di : rob() | std::views::reverse) {
+            if (di.seq == rec.seq) {
+                causer = &di;
                 break;
             }
         }
@@ -713,13 +719,13 @@ AlphaCore::squashFrom(InstSeq seq, bool refetch_inclusive)
 
     // Un-fetched/un-mapped instructions first (youngest first so
     // predictor snapshots unwind in reverse order).
-    while (!_fetchQueue.empty() && _fetchQueue.back().seq >= seq) {
-        DynInst &di = _fetchQueue.back();
+    while (fetchQueueSize() && _window.back().seq >= seq) {
+        DynInst &di = _window.back();
         if (di.hasBpSnap)
             _branchPred->restore(di.bpSnap);
         if (di.hasRasSnap)
             _ras->restore(di.rasSnap);
-        _fetchQueue.pop_back();
+        _window.pop_back();
     }
 
     _intIq->squashFrom(seq);
@@ -728,8 +734,8 @@ AlphaCore::squashFrom(InstSeq seq, bool refetch_inclusive)
         _robStores.pop_back();
 
     InstSeq lowest_oracle = kNoCycle;
-    while (!_rob.empty() && _rob.back().seq >= seq) {
-        DynInst &di = _rob.back();
+    while (_robCount && _window.back().seq >= seq) {
+        DynInst &di = _window.back();
         if (di.hasBpSnap)
             _branchPred->restore(di.bpSnap);
         if (di.hasRasSnap)
@@ -746,7 +752,8 @@ AlphaCore::squashFrom(InstSeq seq, bool refetch_inclusive)
             lowest_oracle = di.oracleSeq;
         }
         ++_c.instsSquashed;
-        _rob.pop_back();
+        _window.pop_back();
+        _robCount--;
     }
 
     // Rewind the oracle if architecturally executed instructions were
@@ -899,7 +906,7 @@ AlphaCore::doIssue()
 
     if (_slowpath) {
         std::size_t n = 0;
-        for (const DynInst &di : _rob)
+        for (const DynInst &di : rob())
             if (di.inst.isStore())
                 sim_assert(n < _robStores.size() &&
                            _robStores[n++] == &di);
@@ -1000,7 +1007,7 @@ AlphaCore::storeWaitClear(const DynInst &ld)
     }
     if (_slowpath) {
         bool scan_clear = true;
-        for (const DynInst &older : _rob) {
+        for (const DynInst &older : rob()) {
             if (older.seq >= ld.seq)
                 break;
             if (older.inst.isStore() && !older.memIssued) {
@@ -1078,18 +1085,18 @@ AlphaCore::issueLoad(DynInst &ld)
     bool forwarded = storeForwardLookup(ld);
     if (_slowpath) {
         bool scan_forwarded = false;
-        for (auto it = _rob.rbegin(); it != _rob.rend(); ++it) {
-            if (it->seq >= ld.seq)
+        for (const DynInst &di : rob() | std::views::reverse) {
+            if (di.seq >= ld.seq)
                 continue;
-            if (!it->inst.isStore() || it->wrongPath)
+            if (!di.inst.isStore() || di.wrongPath)
                 continue;
             bool overlap = _p.approxMaskedStoreTrapAddr
-                               ? overlapWord(it->effAddr, ld.effAddr)
-                               : overlapExact(it->effAddr,
-                                              it->inst.memBytes(),
+                               ? overlapWord(di.effAddr, ld.effAddr)
+                               : overlapExact(di.effAddr,
+                                              di.inst.memBytes(),
                                               ld.effAddr,
                                               ld.inst.memBytes());
-            if (it->memIssued && overlap) {
+            if (di.memIssued && overlap) {
                 // Store-to-load forwarding from the store queue.
                 scan_forwarded = true;
                 break;
@@ -1168,19 +1175,19 @@ AlphaCore::issueLoad(DynInst &ld)
     const IssuedMemRef *ll_victim = youngestConflictingLoad(ld);
     if (_slowpath) {
         const DynInst *scan_victim = nullptr;
-        for (auto it = _rob.rbegin(); it != _rob.rend(); ++it) {
-            if (it->seq <= ld.seq || it->wrongPath)
+        for (const DynInst &di : rob() | std::views::reverse) {
+            if (di.seq <= ld.seq || di.wrongPath)
                 continue;
-            if (!it->inst.isLoad() || !it->memIssued)
+            if (!di.inst.isLoad() || !di.memIssued)
                 continue;
             bool conflict = _p.bugMaskedLoadTrapAddr
-                                ? overlapWord(it->effAddr, ld.effAddr)
-                                : overlapExact(it->effAddr,
-                                               it->inst.memBytes(),
+                                ? overlapWord(di.effAddr, ld.effAddr)
+                                : overlapExact(di.effAddr,
+                                               di.inst.memBytes(),
                                                ld.effAddr,
                                                ld.inst.memBytes());
             if (conflict) {
-                scan_victim = &*it;
+                scan_victim = &di;
                 break;
             }
         }
@@ -1254,7 +1261,7 @@ AlphaCore::issueStore(DynInst &st)
     const IssuedMemRef *victim = oldestConflictingLoad(st);
     if (_slowpath) {
         const DynInst *scan_victim = nullptr;
-        for (const DynInst &di : _rob) {
+        for (const DynInst &di : rob()) {
             if (di.seq <= st.seq || di.wrongPath)
                 continue;
             if (!di.inst.isLoad() || !di.memIssued)
@@ -1304,13 +1311,12 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
             : Cycle(_p.loadUseRecoveryCycles);
 
     // Poison propagation for dependents-only squash.
-    std::vector<bool> poisoned(
-        std::size_t(_p.physIntRegs + _p.physFpRegs), false);
+    _poisoned.assign(std::size_t(_p.physIntRegs + _p.physFpRegs), false);
     if (check.loadDst != kNoPhys)
-        poisoned[std::size_t(check.loadDst)] = true;
+        _poisoned[std::size_t(check.loadDst)] = true;
 
     bool any = false;
-    for (DynInst &di : _rob) {
+    for (DynInst &di : rob()) {
         if (di.seq == check.loadSeq || !di.issued || di.retiredEarly)
             continue;
         if (di.issueCycle < check.windowStart ||
@@ -1321,7 +1327,7 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
             squash = false;
             for (int i = 0; i < di.numSrcs; i++)
                 if (di.srcPhys[i] != kNoPhys &&
-                    poisoned[std::size_t(di.srcPhys[i])])
+                    _poisoned[std::size_t(di.srcPhys[i])])
                     squash = true;
         } else {
             squash = !di.wrongPath;
@@ -1341,7 +1347,7 @@ AlphaCore::unissueForReplay(const LoadUseCheck &check)
             removeIssuedRef(_issuedStores, di.seq);
         if (di.dstPhys != kNoPhys) {
             _scoreboard->setPending(di.dstPhys);
-            poisoned[std::size_t(di.dstPhys)] = true;
+            _poisoned[std::size_t(di.dstPhys)] = true;
         }
         if (di.inst.isFp() && !di.inst.isMem()) {
             _fpIq->reinsert(&di);
@@ -1367,11 +1373,11 @@ AlphaCore::doMap()
         return;
 
     int mapped = 0;
-    while (mapped < _p.mapWidth && !_fetchQueue.empty()) {
-        DynInst &front = _fetchQueue.front();
+    while (mapped < _p.mapWidth && fetchQueueSize()) {
+        DynInst &front = _window[_robCount];
         if (front.readyForMap > _cycle)
             break;
-        if (int(_rob.size()) >= _p.robEntries)
+        if (int(_robCount) >= _p.robEntries)
             break;
 
         bool is_nop = front.inst.isNop();
@@ -1410,9 +1416,9 @@ AlphaCore::doMap()
             }
         }
 
-        // Commit the dequeue.
-        DynInst di = std::move(front);
-        _fetchQueue.pop_front();
+        // Commit the dequeue: the entry joins the ROB in place.
+        DynInst &di = front;
+        _robCount++;
         di.mapCycle = _cycle;
 
         if (!di.wrongPath) {
@@ -1441,22 +1447,20 @@ AlphaCore::doMap()
                 _sqUsed++;
         }
 
-        _rob.push_back(std::move(di));
-        DynInst &placed = _rob.back();
-        if (placed.inst.isStore())
-            _robStores.push_back(&placed);
+        if (di.inst.isStore())
+            _robStores.push_back(&di);
 
         if (remove_early) {
             // Unops vanish at map: they hold a ROB slot but never issue.
-            placed.retiredEarly = true;
-            placed.issued = true;
-            placed.completed = true;
-            placed.issueCycle = _cycle;
-            placed.doneCycle = _cycle;
+            di.retiredEarly = true;
+            di.issued = true;
+            di.completed = true;
+            di.issueCycle = _cycle;
+            di.doneCycle = _cycle;
             ++_c.unopsRemoved;
         } else {
-            bool fp_queue = placed.inst.isFp() && !placed.inst.isMem();
-            (fp_queue ? *_fpIq : *_intIq).insert(&placed);
+            bool fp_queue = di.inst.isFp() && !di.inst.isMem();
+            (fp_queue ? *_fpIq : *_intIq).insert(&di);
             Cycle &wake = fp_queue ? _fpWakeAt : _intWakeAt;
             wake = std::min(wake,
                             _cycle + Cycle(_p.mapToIssueCycles));
@@ -1528,15 +1532,14 @@ AlphaCore::predictControl(DynInst &di, Addr lp_next)
     return lp_next;
 }
 
-void
-AlphaCore::enqueuePacket(std::vector<DynInst> &packet, Cycle fetch_done)
+DynInst &
+AlphaCore::fetchEntry(Cycle fetch_done)
 {
-    for (DynInst &di : packet) {
-        di.fetchCycle = _cycle;
-        di.readyForMap = fetch_done + Cycle(_p.fetchToMapCycles);
-        _fetchQueue.push_back(std::move(di));
-    }
-    packet.clear();
+    DynInst &di = _window.emplace_back();
+    di.seq = nextSeq();
+    di.fetchCycle = _cycle;
+    di.readyForMap = fetch_done + Cycle(_p.fetchToMapCycles);
+    return di;
 }
 
 void
@@ -1546,7 +1549,7 @@ AlphaCore::doFetch()
         return;
     if (_haltFetched && !_wrongPathMode)
         return;
-    if (int(_fetchQueue.size()) + _p.fetchWidth > _p.fetchQueueEntries)
+    if (int(fetchQueueSize()) + _p.fetchWidth > _p.fetchQueueEntries)
         return;
     if (!_wrongPathMode && _oracle->exhausted())
         return;
@@ -1577,8 +1580,9 @@ AlphaCore::fetchCorrectPath()
     Addr oct_end = octawordEnd(packet_pc);
     Addr lp_next = _linePred->predict(packet_pc);
 
-    std::vector<DynInst> packet;
-    packet.reserve(4);
+    // The packet is built in place at the window's tail.
+    const std::size_t packet_start = _window.size();
+    auto packet_size = [&] { return int(_window.size() - packet_start); };
 
     Addr pc_cur = packet_pc;
     DynInst *cut_inst = nullptr;     // control inst that ends the packet
@@ -1586,13 +1590,13 @@ AlphaCore::fetchCorrectPath()
     bool nt_mispredict = false;      // predicted NT, actually taken
     bool ends_halt = false;
 
-    while (pc_cur < oct_end && int(packet.size()) < _p.fetchWidth &&
+    while (pc_cur < oct_end && packet_size() < _p.fetchWidth &&
            !_oracle->exhausted()) {
         const ExecutedInst &rec = _oracle->next();
         sim_assert(rec.pc == pc_cur);
 
-        DynInst di;
-        di.seq = nextSeq();
+        const int slot = packet_size();
+        DynInst &di = fetchEntry(fdone);
         di.oracleSeq = rec.seq;
         di.pc = rec.pc;
         di.inst = rec.inst;
@@ -1600,7 +1604,7 @@ AlphaCore::fetchCorrectPath()
         di.taken = rec.taken;
         di.effAddr = rec.effAddr;
         di.halt = rec.halted;
-        di.slottedUpper = slotAssignment(di.inst, int(packet.size()));
+        di.slottedUpper = slotAssignment(di.inst, slot);
 
         if (di.inst.isControl()) {
             // Direction prediction (conditional) / always-taken.
@@ -1619,8 +1623,7 @@ AlphaCore::fetchCorrectPath()
             di.predTaken = pred_taken;
 
             if (pred_taken) {
-                packet.push_back(std::move(di));
-                cut_inst = &packet.back();
+                cut_inst = &di;
                 cut_predicted_taken = true;
                 break;
             }
@@ -1629,25 +1632,19 @@ AlphaCore::fetchCorrectPath()
                 // mispredict. Fetch believes nothing happened and keeps
                 // streaming sequentially (wrong path).
                 di.mispredicted = true;
-                packet.push_back(std::move(di));
-                cut_inst = &packet.back();
+                cut_inst = &di;
                 nt_mispredict = true;
                 break;
             }
             // Correctly predicted not-taken: the packet continues.
-            packet.push_back(std::move(di));
-        } else {
-            bool halted = rec.halted;
-            packet.push_back(std::move(di));
-            if (halted) {
-                ends_halt = true;
-                break;
-            }
+        } else if (rec.halted) {
+            ends_halt = true;
+            break;
         }
         pc_cur += 4;
     }
 
-    if (packet.empty()) {
+    if (!packet_size()) {
         // Nothing fetched (oracle exhausted at packet start).
         return;
     }
@@ -1656,7 +1653,6 @@ AlphaCore::fetchCorrectPath()
 
     if (ends_halt) {
         _haltFetched = true;
-        enqueuePacket(packet, fdone);
         _fetchResumeAt = fdone;
         return;
     }
@@ -1665,26 +1661,19 @@ AlphaCore::fetchCorrectPath()
         // Fill the rest of the octaword with wrong-path slots and keep
         // fetching sequentially until the branch resolves.
         Addr wp = cut_inst->pc + 4;
-        while (wp < oct_end && int(packet.size()) < _p.fetchWidth) {
-            DynInst wdi;
-            wdi.seq = nextSeq();
+        while (wp < oct_end && packet_size() < _p.fetchWidth) {
+            const int slot = packet_size();
+            DynInst &wdi = fetchEntry(fdone);
             wdi.pc = wp;
             wdi.inst = _prog->fetch(wp);
             wdi.wrongPath = true;
-            wdi.slottedUpper = slotAssignment(wdi.inst,
-                                              int(packet.size()));
-            packet.push_back(std::move(wdi));
+            wdi.slottedUpper = slotAssignment(wdi.inst, slot);
             wp += 4;
         }
-        // push_back may have reallocated; re-find the mispredicted inst.
-        for (DynInst &d : packet)
-            if (d.mispredicted)
-                cut_inst = &d;
         cut_inst->predNextFetch = oct_end;
         _wrongPathMode = true;
         _fetchPc = oct_end;
         ++_c.directionMispredicts;
-        enqueuePacket(packet, fdone);
         _fetchResumeAt = fdone;
         return;
     }
@@ -1744,7 +1733,6 @@ AlphaCore::fetchCorrectPath()
             ++(cut_inst->inst.isCondBranch() ? _c.directionMispredicts
                                               : _c.targetMispredicts);
         }
-        enqueuePacket(packet, fdone);
         _fetchResumeAt = fdone + bubbles;
         return;
     }
@@ -1768,7 +1756,6 @@ AlphaCore::fetchCorrectPath()
         _fetchResumeAt = fdone + bubble;
     }
     _linePred->train(packet_pc, actual_next);
-    enqueuePacket(packet, fdone);
 }
 
 void
@@ -1779,20 +1766,16 @@ AlphaCore::fetchWrongPath()
     Addr oct_end = octawordEnd(packet_pc);
     Addr lp_next = _linePred->predict(packet_pc);
 
-    std::vector<DynInst> packet;
-    packet.reserve(4);
-
     Addr pc_cur = packet_pc;
     Addr next_fetch = oct_end;
     Cycle bubbles = 0;
 
-    while (pc_cur < oct_end && int(packet.size()) < _p.fetchWidth) {
-        DynInst di;
-        di.seq = nextSeq();
+    for (int slot = 0; pc_cur < oct_end && slot < _p.fetchWidth; slot++) {
+        DynInst &di = fetchEntry(fdone);
         di.pc = pc_cur;
         di.inst = _prog->fetch(pc_cur);
         di.wrongPath = true;
-        di.slottedUpper = slotAssignment(di.inst, int(packet.size()));
+        di.slottedUpper = slotAssignment(di.inst, slot);
 
         if (di.inst.isControl()) {
             bool pred_taken = true;
@@ -1811,11 +1794,9 @@ AlphaCore::fetchWrongPath()
 
             if (pred_taken) {
                 next_fetch = predictControl(di, lp_next);
-                packet.push_back(std::move(di));
                 break;
             }
         }
-        packet.push_back(std::move(di));
         pc_cur += 4;
     }
 
@@ -1823,7 +1804,6 @@ AlphaCore::fetchWrongPath()
         next_fetch = lp_next;   // line predictor steers the wrong path
 
     _fetchPc = next_fetch;
-    enqueuePacket(packet, fdone);
     _fetchResumeAt = fdone + bubbles;
     ++_c.wrongPathPackets;
 }

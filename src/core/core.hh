@@ -16,12 +16,13 @@
 #ifndef SIMALPHA_CORE_CORE_HH
 #define SIMALPHA_CORE_CORE_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/ring.hh"
 #include "core/fu_pool.hh"
 #include "inject/inject.hh"
 #include "core/issue_queue.hh"
@@ -113,7 +114,10 @@ class AlphaCore : public Machine
     /** Direction/target prediction for a control instruction at fetch.
      *  @return the front end's next fetch PC if the packet cuts here */
     Addr predictControl(DynInst &di, Addr lp_next);
-    void enqueuePacket(std::vector<DynInst> &packet, Cycle fetch_done);
+    /** Start the next fetched instruction in place at the window's
+     *  tail (a fetch-queue entry whose packet completes at
+     *  @p fetch_done). */
+    DynInst &fetchEntry(Cycle fetch_done);
 
     // Issue helpers.
     /** An entry that passed the cycle-invariant issue gates, with its
@@ -257,8 +261,26 @@ class AlphaCore : public Machine
     int _sqUsed = 0;
     Cycle _lastCommitCycle = 0;
 
-    std::deque<DynInst> _fetchQueue;
-    std::deque<DynInst> _rob;
+    /** The instruction window in fetch order, as two adjacent index
+     *  ranges of one fixed ring: the oldest _robCount entries are the
+     *  ROB (mapped), the rest the fetch queue (fetched, not mapped).
+     *  Fetch builds entries in place at the tail, map moves the
+     *  boundary, retire pops the front and squashes pop the back.
+     *  Capacity: robEntries + fetchQueueEntries. */
+    Ring<DynInst> _window;
+    std::size_t _robCount = 0;
+    std::size_t fetchQueueSize() const { return _window.size() - _robCount; }
+    /** The ROB part of the window, oldest first. */
+    std::ranges::subrange<Ring<DynInst>::iterator>
+    rob()
+    {
+        return {_window.begin(), _window.begin() + std::ptrdiff_t(_robCount)};
+    }
+    std::ranges::subrange<Ring<DynInst>::const_iterator>
+    rob() const
+    {
+        return {_window.begin(), _window.begin() + std::ptrdiff_t(_robCount)};
+    }
     std::optional<Recovery> _recovery;
     std::vector<LoadUseCheck> _loadUseChecks;
 
@@ -273,11 +295,14 @@ class AlphaCore : public Machine
     std::vector<IssuedMemRef> _issuedLoads;  ///< seq-sorted, issued
     /** Every store in the ROB, in seq order (store-wait's "older
      *  unresolved store" walk reads only these). */
-    std::deque<const DynInst *> _robStores;
+    Ring<const DynInst *> _robStores;
     /** This cycle's gate-pass survivors per queue (scratch reused
      *  across cycles). */
     std::vector<IssueCandidate> _intCands;
     std::vector<IssueCandidate> _fpCands;
+    /** Load-use replay's poisoned-register set (scratch reused across
+     *  replays). */
+    std::vector<bool> _poisoned;
     /** An issue-stage scoreboard write hit a non-pending register or
      *  a cycle <= _cycle: re-run the gate pass before the next pipe. */
     bool _gatesStale = false;

@@ -148,26 +148,26 @@ AlphaCore::applyInjection()
         break;
       }
       case inject::Target::Rob: {
-        if (_rob.empty()) {
+        if (!_robCount) {
             note += "(window empty; flip dropped)";
             break;
         }
-        DynInst &d = _rob[std::size_t(inj.index % _rob.size())];
+        DynInst &d = _window[std::size_t(inj.index % _robCount)];
         note += "slot " +
-                std::to_string(inj.index % _rob.size()) + " " +
+                std::to_string(inj.index % _robCount) + " " +
                 flipWindowEntry(d, inj.bit, salt);
         break;
       }
       case inject::Target::Lsq: {
         std::vector<std::size_t> mem;
-        for (std::size_t i = 0; i < _rob.size(); i++)
-            if (_rob[i].inst.isMem())
+        for (std::size_t i = 0; i < _robCount; i++)
+            if (_window[i].inst.isMem())
                 mem.push_back(i);
         if (mem.empty()) {
             note += "(no resident memory op; flip dropped)";
             break;
         }
-        DynInst &d = _rob[mem[std::size_t(inj.index % mem.size())]];
+        DynInst &d = _window[mem[std::size_t(inj.index % mem.size())]];
         note += "entry " + std::to_string(inj.index % mem.size()) +
                 " " + flipMemEntry(d, inj.bit, salt);
         break;

@@ -4,24 +4,26 @@
 
 namespace simalpha {
 
-OracleStream::OracleStream(const Program &program)
-    : _emu(program)
-{
-}
+OracleStream::OracleStream(std::size_t capacity) : _buffer(capacity) {}
 
-OracleStream::OracleStream(const Program &program,
-                           const Checkpoint &start)
-    : _emu(program, start)
+void
+OracleStream::reset(const Program &program, const Checkpoint *start)
 {
-    // The emulator's next record is instruction start.seq, so the
+    if (start)
+        _emu.emplace(program, *start);
+    else
+        _emu.emplace(program);
+    _buffer.clear();
+    _cursor = 0;
+    // The emulator's next record is instruction start->seq, so the
     // empty buffer's base must match for rewindTo()'s arithmetic.
-    _baseSeq = start.seq;
+    _baseSeq = start ? start->seq : 0;
 }
 
 bool
 OracleStream::exhausted() const
 {
-    return _cursor >= _buffer.size() && _emu.halted();
+    return _cursor >= _buffer.size() && _emu->halted();
 }
 
 Addr
@@ -29,15 +31,15 @@ OracleStream::nextPc() const
 {
     if (_cursor < _buffer.size())
         return _buffer[_cursor].pc;
-    return _emu.pc();
+    return _emu->pc();
 }
 
 const ExecutedInst &
 OracleStream::next()
 {
     if (_cursor >= _buffer.size()) {
-        sim_assert(!_emu.halted());
-        _buffer.push_back(_emu.step());
+        sim_assert(!_emu->halted());
+        _buffer.push_back(_emu->step());
     }
     return _buffer[_cursor++];
 }

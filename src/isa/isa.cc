@@ -2,205 +2,7 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
-
 namespace simalpha {
-
-OpClass
-Instruction::opClass() const
-{
-    switch (op) {
-      case Op::Addq: case Op::Subq: case Op::And: case Op::Bis:
-      case Op::Xor: case Op::Sll: case Op::Srl: case Op::Cmpeq:
-      case Op::Cmplt: case Op::Cmple: case Op::Lda:
-      case Op::Cmoveq: case Op::Cmovne:
-        return OpClass::IntAlu;
-      case Op::Mulq:
-        return OpClass::IntMul;
-      case Op::Ldq: case Op::Ldl:
-        return OpClass::IntLoad;
-      case Op::Stq: case Op::Stl:
-        return OpClass::IntStore;
-      case Op::Ldt:
-        return OpClass::FpLoad;
-      case Op::Stt:
-        return OpClass::FpStore;
-      case Op::Addt: case Op::Subt: case Op::Cpys:
-        return OpClass::FpAdd;
-      case Op::Mult:
-        return OpClass::FpMul;
-      case Op::Divt:
-        return OpClass::FpDivD;
-      case Op::Divs:
-        return OpClass::FpDivS;
-      case Op::Sqrtt:
-        return OpClass::FpSqrtD;
-      case Op::Sqrts:
-        return OpClass::FpSqrtS;
-      case Op::Beq: case Op::Bne: case Op::Blt:
-      case Op::Ble: case Op::Bgt: case Op::Bge:
-        return OpClass::CondBranch;
-      case Op::Br:
-        return OpClass::UncondBranch;
-      case Op::Bsr: case Op::Jsr:
-        return OpClass::Call;
-      case Op::Jmp:
-        return OpClass::IndirectJump;
-      case Op::Ret:
-        return OpClass::Return;
-      case Op::Unop:
-        return OpClass::Nop;
-      case Op::Halt:
-        return OpClass::Halt;
-    }
-    panic("unreachable opcode %d", int(op));
-}
-
-bool
-Instruction::isCondBranch() const
-{
-    switch (op) {
-      case Op::Beq: case Op::Bne: case Op::Blt:
-      case Op::Ble: case Op::Bgt: case Op::Bge:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-Instruction::isPcRelBranch() const
-{
-    return isCondBranch() || op == Op::Br || op == Op::Bsr;
-}
-
-bool
-Instruction::isIndirect() const
-{
-    return op == Op::Jmp || op == Op::Jsr || op == Op::Ret;
-}
-
-bool
-Instruction::isFp() const
-{
-    switch (opClass()) {
-      case OpClass::FpAdd: case OpClass::FpMul:
-      case OpClass::FpDivS: case OpClass::FpDivD:
-      case OpClass::FpSqrtS: case OpClass::FpSqrtD:
-      case OpClass::FpLoad: case OpClass::FpStore:
-        return true;
-      default:
-        return false;
-    }
-}
-
-int
-Instruction::latency() const
-{
-    // Table 1 of the paper.
-    switch (opClass()) {
-      case OpClass::IntAlu:
-        return 1;
-      case OpClass::IntMul:
-        return 7;
-      case OpClass::IntLoad:
-        return 3;
-      case OpClass::IntStore: case OpClass::FpStore:
-        return 1;
-      case OpClass::FpAdd: case OpClass::FpMul:
-        return 4;
-      case OpClass::FpDivS:
-        return 12;
-      case OpClass::FpDivD:
-        return 15;
-      case OpClass::FpSqrtS:
-        return 18;
-      case OpClass::FpSqrtD:
-        return 33;
-      case OpClass::FpLoad:
-        return 4;
-      case OpClass::CondBranch:
-        return 1;
-      case OpClass::UncondBranch: case OpClass::Call:
-      case OpClass::IndirectJump: case OpClass::Return:
-        return 3;
-      case OpClass::Nop: case OpClass::Halt:
-        return 1;
-    }
-    panic("unreachable op class");
-}
-
-namespace {
-
-bool
-readsRa(Op op)
-{
-    switch (op) {
-      case Op::Lda: case Op::Br: case Op::Bsr: case Op::Jsr:
-      case Op::Ldq: case Op::Ldl: case Op::Ldt:
-      case Op::Unop: case Op::Halt:
-      case Op::Sqrtt: case Op::Sqrts: case Op::Jmp: case Op::Ret:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-readsRb(Op op)
-{
-    switch (op) {
-      case Op::Beq: case Op::Bne: case Op::Blt: case Op::Ble:
-      case Op::Bgt: case Op::Bge: case Op::Br: case Op::Bsr:
-      case Op::Unop: case Op::Halt:
-        return false;
-      default:
-        return true;
-    }
-}
-
-} // namespace
-
-int
-Instruction::srcRegs(RegIndex out[3]) const
-{
-    int n = 0;
-    auto add = [&](RegIndex r) {
-        if (r != kNoReg && !isZeroRegIndex(r))
-            out[n++] = r;
-    };
-    if (readsRa(op))
-        add(ra);
-    if (readsRb(op))
-        add(rb);
-    // Conditional moves additionally read the old destination.
-    if (op == Op::Cmoveq || op == Op::Cmovne)
-        add(rc);
-    return n;
-}
-
-RegIndex
-Instruction::dstReg() const
-{
-    RegIndex d = kNoReg;
-    switch (op) {
-      case Op::Stq: case Op::Stl: case Op::Stt:
-      case Op::Beq: case Op::Bne: case Op::Blt: case Op::Ble:
-      case Op::Bgt: case Op::Bge: case Op::Br: case Op::Jmp:
-      case Op::Ret: case Op::Unop: case Op::Halt:
-        d = kNoReg;
-        break;
-      case Op::Bsr: case Op::Jsr:
-        d = ra;     // link register
-        break;
-      default:
-        d = rc;
-        break;
-    }
-    if (d != kNoReg && isZeroRegIndex(d))
-        d = kNoReg;
-    return d;
-}
 
 const char *
 opName(Op op)

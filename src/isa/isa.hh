@@ -15,6 +15,7 @@
 #ifndef SIMALPHA_ISA_ISA_HH
 #define SIMALPHA_ISA_ISA_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -126,7 +127,14 @@ enum class OpClass : std::uint8_t
     Halt,
 };
 
-/** A decoded MiniAlpha instruction. */
+namespace isa_detail {
+
+struct OpTraits;
+
+} // namespace isa_detail
+
+/** A decoded MiniAlpha instruction. The per-opcode queries read one
+ *  constant table (isa_detail::kOpTraits), so they inline to a load. */
 struct Instruction
 {
     Op op = Op::Unop;
@@ -181,7 +189,210 @@ struct Instruction
     RegIndex dstReg() const;
 
     std::string disassemble() const;
+
+  private:
+    const isa_detail::OpTraits &traits() const;
 };
+
+namespace isa_detail {
+
+/** Static properties of one opcode: its Table-1 class and latency,
+ *  its control-flow kind, and which fields name register operands. */
+struct OpTraits
+{
+    /** Which field names the destination register. */
+    enum class Dst : std::uint8_t { None, Rc, Ra };
+
+    OpClass cls = OpClass::Nop;
+    std::uint8_t latency = 1;
+    bool fp = false;
+    bool condBranch = false;
+    bool pcRelBranch = false;
+    bool indirect = false;
+    bool readsRa = false;
+    bool readsRb = false;
+    bool readsRc = false;   ///< conditional moves read the old dest
+    Dst dst = Dst::None;
+};
+
+constexpr OpClass
+classOf(Op op)
+{
+    switch (op) {
+      case Op::Addq: case Op::Subq: case Op::And: case Op::Bis:
+      case Op::Xor: case Op::Sll: case Op::Srl: case Op::Cmpeq:
+      case Op::Cmplt: case Op::Cmple: case Op::Lda:
+      case Op::Cmoveq: case Op::Cmovne:
+        return OpClass::IntAlu;
+      case Op::Mulq:
+        return OpClass::IntMul;
+      case Op::Ldq: case Op::Ldl:
+        return OpClass::IntLoad;
+      case Op::Stq: case Op::Stl:
+        return OpClass::IntStore;
+      case Op::Ldt:
+        return OpClass::FpLoad;
+      case Op::Stt:
+        return OpClass::FpStore;
+      case Op::Addt: case Op::Subt: case Op::Cpys:
+        return OpClass::FpAdd;
+      case Op::Mult:
+        return OpClass::FpMul;
+      case Op::Divt:
+        return OpClass::FpDivD;
+      case Op::Divs:
+        return OpClass::FpDivS;
+      case Op::Sqrtt:
+        return OpClass::FpSqrtD;
+      case Op::Sqrts:
+        return OpClass::FpSqrtS;
+      case Op::Beq: case Op::Bne: case Op::Blt:
+      case Op::Ble: case Op::Bgt: case Op::Bge:
+        return OpClass::CondBranch;
+      case Op::Br:
+        return OpClass::UncondBranch;
+      case Op::Bsr: case Op::Jsr:
+        return OpClass::Call;
+      case Op::Jmp:
+        return OpClass::IndirectJump;
+      case Op::Ret:
+        return OpClass::Return;
+      case Op::Unop:
+        return OpClass::Nop;
+      case Op::Halt:
+        return OpClass::Halt;
+    }
+    return OpClass::Nop;
+}
+
+/** Execution latency of a class (Table 1 of the paper). */
+constexpr int
+latencyOf(OpClass cls)
+{
+    switch (cls) {
+      case OpClass::IntMul:
+        return 7;
+      case OpClass::IntLoad:
+        return 3;
+      case OpClass::FpAdd: case OpClass::FpMul: case OpClass::FpLoad:
+        return 4;
+      case OpClass::FpDivS:
+        return 12;
+      case OpClass::FpDivD:
+        return 15;
+      case OpClass::FpSqrtS:
+        return 18;
+      case OpClass::FpSqrtD:
+        return 33;
+      case OpClass::UncondBranch: case OpClass::Call:
+      case OpClass::IndirectJump: case OpClass::Return:
+        return 3;
+      default:  // int ALU, stores, cond branches, nop, halt
+        return 1;
+    }
+}
+
+constexpr OpTraits
+traitsOf(Op op)
+{
+    OpTraits t;
+    t.cls = classOf(op);
+    t.latency = std::uint8_t(latencyOf(t.cls));
+    switch (t.cls) {
+      case OpClass::FpAdd: case OpClass::FpMul:
+      case OpClass::FpDivS: case OpClass::FpDivD:
+      case OpClass::FpSqrtS: case OpClass::FpSqrtD:
+      case OpClass::FpLoad: case OpClass::FpStore:
+        t.fp = true;
+        break;
+      default:
+        break;
+    }
+    t.condBranch = t.cls == OpClass::CondBranch;
+    t.pcRelBranch = t.condBranch || op == Op::Br || op == Op::Bsr;
+    t.indirect = op == Op::Jmp || op == Op::Jsr || op == Op::Ret;
+    switch (op) {
+      case Op::Lda: case Op::Br: case Op::Bsr: case Op::Jsr:
+      case Op::Ldq: case Op::Ldl: case Op::Ldt:
+      case Op::Unop: case Op::Halt:
+      case Op::Sqrtt: case Op::Sqrts: case Op::Jmp: case Op::Ret:
+        t.readsRa = false;
+        break;
+      default:
+        t.readsRa = true;
+        break;
+    }
+    t.readsRb = !(t.condBranch || op == Op::Br || op == Op::Bsr ||
+                  op == Op::Unop || op == Op::Halt);
+    t.readsRc = op == Op::Cmoveq || op == Op::Cmovne;
+    switch (op) {
+      case Op::Stq: case Op::Stl: case Op::Stt:
+      case Op::Beq: case Op::Bne: case Op::Blt: case Op::Ble:
+      case Op::Bgt: case Op::Bge: case Op::Br: case Op::Jmp:
+      case Op::Ret: case Op::Unop: case Op::Halt:
+        t.dst = OpTraits::Dst::None;
+        break;
+      case Op::Bsr: case Op::Jsr:
+        t.dst = OpTraits::Dst::Ra;      // link register
+        break;
+      default:
+        t.dst = OpTraits::Dst::Rc;
+        break;
+    }
+    return t;
+}
+
+constexpr std::size_t kNumOps = std::size_t(Op::Halt) + 1;
+
+/** Every opcode's traits, indexed by the opcode. */
+inline constexpr std::array<OpTraits, kNumOps> kOpTraits = [] {
+    std::array<OpTraits, kNumOps> table{};
+    for (std::size_t i = 0; i < kNumOps; i++)
+        table[i] = traitsOf(Op(i));
+    return table;
+}();
+
+} // namespace isa_detail
+
+inline const isa_detail::OpTraits &
+Instruction::traits() const
+{
+    return isa_detail::kOpTraits[std::size_t(op)];
+}
+
+inline OpClass Instruction::opClass() const { return traits().cls; }
+inline bool Instruction::isCondBranch() const { return traits().condBranch; }
+inline bool Instruction::isPcRelBranch() const { return traits().pcRelBranch; }
+inline bool Instruction::isIndirect() const { return traits().indirect; }
+inline bool Instruction::isFp() const { return traits().fp; }
+inline int Instruction::latency() const { return traits().latency; }
+
+inline int
+Instruction::srcRegs(RegIndex out[3]) const
+{
+    const isa_detail::OpTraits &t = traits();
+    int n = 0;
+    auto add = [&](RegIndex r) {
+        if (r != kNoReg && !isZeroRegIndex(r))
+            out[n++] = r;
+    };
+    if (t.readsRa)
+        add(ra);
+    if (t.readsRb)
+        add(rb);
+    if (t.readsRc)
+        add(rc);
+    return n;
+}
+
+inline RegIndex
+Instruction::dstReg() const
+{
+    using Dst = isa_detail::OpTraits::Dst;
+    const Dst dst = traits().dst;
+    RegIndex d = dst == Dst::Rc ? rc : dst == Dst::Ra ? ra : kNoReg;
+    return d != kNoReg && isZeroRegIndex(d) ? kNoReg : d;
+}
 
 /** Mnemonic for an opcode. */
 const char *opName(Op op);

@@ -43,10 +43,14 @@ void
 RuuCore::resetMachine(const Program &program, const Checkpoint *start)
 {
     _prog = &program;
-    // The oracle is program state and is rebuilt every run; the other
-    // sub-units have fixed geometry and reset in place on reuse.
-    _oracle = start ? std::make_unique<OracleStream>(program, *start)
-                    : std::make_unique<OracleStream>(program);
+    // Every sub-unit (the oracle's record buffer included) has fixed
+    // geometry and resets in place on reuse. The oracle buffers at
+    // most the correct-path part of the window.
+    const std::size_t window =
+        std::size_t(_p.ruuEntries + 4 * _p.fetchWidth);
+    if (!_oracle)
+        _oracle = std::make_unique<OracleStream>(window);
+    _oracle->reset(program, start);
     if (!_mem) {
         _mem = std::make_unique<MemorySystem>(_p.mem);
         // The paper gives sim-outorder a 2-level adaptive predictor
@@ -73,8 +77,8 @@ RuuCore::resetMachine(const Program &program, const Checkpoint *start)
     _wrongPathMode = false;
     _haltFetched = false;
     _regWriter.assign(kNumIntRegs + kNumFpRegs, kNoCycle);
-    _fetchBuf.clear();
-    _ruu.clear();
+    _ruu.reset(window);
+    _ruuCount = 0;
     _recovery.reset();
     _fuCycle = kNoCycle;
     _lastCommitCycle = 0;
@@ -84,7 +88,7 @@ RuuCore::resetMachine(const Program &program, const Checkpoint *start)
     _inflightDst = 0;
     _issueWakeAt = 0;
     _waiting.clear();
-    _stores.clear();
+    _stores.reset(std::size_t(_p.ruuEntries));
     const char *slow = std::getenv("SIMALPHA_SLOWPATH");
     _slowpath = slow && std::strcmp(slow, "1") == 0;
     _ffCheckUntil = 0;
@@ -230,8 +234,8 @@ RuuCore::deadlockSnapshot(const Program &program) const
     info.lastCommitCycle = _lastCommitCycle;
     info.committed = _committed;
     info.fetchPc = _fetchPc;
-    info.windowOccupancy = _ruu.size();
-    if (!_ruu.empty()) {
+    info.windowOccupancy = _ruuCount;
+    if (_ruuCount) {
         const RuuInst &h = _ruu.front();
         char buf[192];
         std::snprintf(buf, sizeof(buf),
@@ -248,7 +252,7 @@ RuuCore::deadlockSnapshot(const Program &program) const
                   "recovery=%d",
                   (unsigned long long)_fetchResumeAt,
                   int(_wrongPathMode), int(_haltFetched),
-                  _fetchBuf.size(), int(_recovery.has_value()));
+                  fetchBufSize(), int(_recovery.has_value()));
     info.detail = buf;
     return info;
 }
@@ -261,16 +265,17 @@ RuuCore::doRecovery()
     PendingRecovery rec = *_recovery;
     _recovery.reset();
 
-    while (!_fetchBuf.empty() && _fetchBuf.back().seq > rec.seq)
-        _fetchBuf.pop_back();
+    while (fetchBufSize() && _ruu.back().seq > rec.seq)
+        _ruu.pop_back();
     // Squashed entries are wrong-path, so never in _stores.
     while (!_waiting.empty() && _waiting.back()->seq > rec.seq)
         _waiting.pop_back();
-    while (!_ruu.empty() && _ruu.back().seq > rec.seq) {
+    while (_ruuCount && _ruu.back().seq > rec.seq) {
         sim_assert(_ruu.back().wrongPath);
         if (_ruu.back().inst.isMem())
             _lsqUsed--;
         _ruu.pop_back();
+        _ruuCount--;
     }
     _fetchPc = rec.resumePc;
     _fetchResumeAt =
@@ -284,7 +289,7 @@ void
 RuuCore::doCommit()
 {
     int committed = 0;
-    while (committed < _p.commitWidth && !_ruu.empty()) {
+    while (committed < _p.commitWidth && _ruuCount) {
         RuuInst &head = _ruu.front();
         if (head.wrongPath) {
             sim_assert(_recovery.has_value());
@@ -325,6 +330,7 @@ RuuCore::doCommit()
         if (!_stores.empty() && _stores.front() == &head)
             _stores.pop_front();
         _ruu.pop_front();
+        _ruuCount--;
     }
 }
 
@@ -429,7 +435,7 @@ void
 RuuCore::rebuildWaiting()
 {
     _waiting.clear();
-    for (RuuInst &inst : _ruu)
+    for (RuuInst &inst : ruuRange())
         if (!inst.issued)
             _waiting.push_back(&inst);
 }
@@ -439,7 +445,7 @@ RuuCore::checkIssueIndexes() const
 {
     // The waiting list is exactly the unissued entries, in RUU order.
     std::size_t w = 0;
-    for (const RuuInst &inst : _ruu) {
+    for (const RuuInst &inst : ruuRange()) {
         if (inst.issued)
             continue;
         sim_assert(w < _waiting.size() && _waiting[w] == &inst);
@@ -449,7 +455,7 @@ RuuCore::checkIssueIndexes() const
 
     // The store index is exactly the resident correct-path stores.
     std::size_t s = 0;
-    for (const RuuInst &inst : _ruu) {
+    for (const RuuInst &inst : ruuRange()) {
         if (!inst.inst.isStore() || inst.wrongPath)
             continue;
         sim_assert(s < _stores.size() && _stores[s] == &inst);
@@ -466,10 +472,9 @@ RuuCore::checkIssueIndexes() const
             InstSeq writer = inst->producers[i];
             if (writer == kNoCycle)
                 continue;
-            auto it = std::lower_bound(
-                _ruu.begin(), _ruu.end(), writer,
-                [](const RuuInst &a, InstSeq q) { return a.seq < q; });
-            if (it == _ruu.end() || it->seq != writer)
+            auto it = std::ranges::lower_bound(ruuRange(), writer, {},
+                                               &RuuInst::seq);
+            if (it == ruuRange().end() || it->seq != writer)
                 continue;
             sim_assert(&*it == inst->producerEntry[i]);
             if (!it->issued) {
@@ -487,10 +492,10 @@ RuuCore::dispatchEventCycle() const
 {
     // Mirrors doDispatch's first-iteration gates; conditions cleared
     // only by another tracked event report kNoCycle.
-    if (_fetchBuf.empty())
+    if (!fetchBufSize())
         return kNoCycle;
-    const RuuInst &front = _fetchBuf.front();
-    if (int(_ruu.size()) >= _p.ruuEntries)
+    const RuuInst &front = _ruu[_ruuCount];
+    if (int(_ruuCount) >= _p.ruuEntries)
         return kNoCycle;
     if (front.inst.isMem() && _lsqUsed >= _p.lsqEntries)
         return kNoCycle;
@@ -505,7 +510,7 @@ RuuCore::fetchEventCycle() const
 {
     if (_haltFetched && !_wrongPathMode)
         return kNoCycle;
-    if (int(_fetchBuf.size()) + _p.fetchWidth > 4 * _p.fetchWidth)
+    if (int(fetchBufSize()) + _p.fetchWidth > 4 * _p.fetchWidth)
         return kNoCycle;
     if (!_wrongPathMode && _oracle->exhausted())
         return kNoCycle;
@@ -518,7 +523,7 @@ RuuCore::fastForwardTarget() const
     Cycle ev = kNoCycle;
     if (_recovery)
         ev = std::min(ev, _recovery->atCycle);
-    if (!_ruu.empty()) {
+    if (_ruuCount) {
         const RuuInst &head = _ruu.front();
         if (!head.wrongPath && head.completed &&
             !(head.mispredicted && _recovery &&
@@ -638,16 +643,16 @@ void
 RuuCore::doDispatch()
 {
     int dispatched = 0;
-    while (dispatched < _p.decodeWidth && !_fetchBuf.empty()) {
-        RuuInst &front = _fetchBuf.front();
-        if (front.readyForDispatch > _cycle)
+    while (dispatched < _p.decodeWidth && fetchBufSize()) {
+        RuuInst &inst = _ruu[_ruuCount];
+        if (inst.readyForDispatch > _cycle)
             break;
-        if (int(_ruu.size()) >= _p.ruuEntries)
+        if (int(_ruuCount) >= _p.ruuEntries)
             break;
-        if (front.inst.isMem()) {
+        if (inst.inst.isMem()) {
             if (_slowpath) {
                 int lsq = 0;
-                for (const RuuInst &ri : _ruu)
+                for (const RuuInst &ri : ruuRange())
                     if (ri.inst.isMem())
                         lsq++;
                 sim_assert(lsq == _lsqUsed);
@@ -655,11 +660,11 @@ RuuCore::doDispatch()
             if (_lsqUsed >= _p.lsqEntries)
                 break;
         }
-        if (_p.physRegs > 0 && front.dst != kNoReg &&
-            !front.wrongPath) {
+        if (_p.physRegs > 0 && inst.dst != kNoReg &&
+            !inst.wrongPath) {
             if (_slowpath) {
                 int inflight = 0;
-                for (const RuuInst &ri : _ruu)
+                for (const RuuInst &ri : ruuRange())
                     if (ri.dst != kNoReg && !ri.wrongPath)
                         inflight++;
                 sim_assert(inflight == _inflightDst);
@@ -668,8 +673,6 @@ RuuCore::doDispatch()
                 break;
         }
 
-        RuuInst inst = std::move(front);
-        _fetchBuf.pop_front();
         inst.dispatched = true;
         inst.dispatchCycle = _cycle;
         if (!inst.wrongPath) {
@@ -680,12 +683,9 @@ RuuCore::doDispatch()
                 inst.producers[i] = writer;
                 // Every older entry has dispatched, so a writer not
                 // resident now never will be (no handle: ready).
-                auto it = std::lower_bound(
-                    _ruu.begin(), _ruu.end(), writer,
-                    [](const RuuInst &a, InstSeq q) {
-                        return a.seq < q;
-                    });
-                if (it != _ruu.end() && it->seq == writer)
+                auto it = std::ranges::lower_bound(ruuRange(), writer, {},
+                                                   &RuuInst::seq);
+                if (it != ruuRange().end() && it->seq == writer)
                     inst.producerEntry[i] = &*it;
             }
             if (inst.dst != kNoReg)
@@ -695,10 +695,11 @@ RuuCore::doDispatch()
             _lsqUsed++;
         if (inst.dst != kNoReg && !inst.wrongPath)
             _inflightDst++;
-        _ruu.push_back(std::move(inst));
-        _waiting.push_back(&_ruu.back());
-        if (_ruu.back().inst.isStore() && !_ruu.back().wrongPath)
-            _stores.push_back(&_ruu.back());
+        // The entry joins the RUU in place.
+        _ruuCount++;
+        _waiting.push_back(&inst);
+        if (inst.inst.isStore() && !inst.wrongPath)
+            _stores.push_back(&inst);
         dispatched++;
         ++_c.instsDispatched;
     }
@@ -716,7 +717,7 @@ RuuCore::doFetch()
         return;
     if (_haltFetched && !_wrongPathMode)
         return;
-    if (int(_fetchBuf.size()) + _p.fetchWidth > 4 * _p.fetchWidth)
+    if (int(fetchBufSize()) + _p.fetchWidth > 4 * _p.fetchWidth)
         return;
     if (!_wrongPathMode && _oracle->exhausted())
         return;
@@ -727,10 +728,10 @@ RuuCore::doFetch()
 
     int fetched = 0;
     Addr pc = _fetchPc;
-    bool redirected = false;
 
     while (fetched < _p.fetchWidth) {
-        RuuInst ri;
+        // Built in place at the tail of the window.
+        RuuInst &ri = _ruu.emplace_back();
         ri.seq = _seqCounter++;
         ri.pc = pc;
         ri.readyForDispatch = fdone + Cycle(_p.fetchToDispatch);
@@ -739,8 +740,10 @@ RuuCore::doFetch()
             ri.inst = _prog->fetch(pc);
             ri.wrongPath = true;
         } else {
-            if (_oracle->exhausted())
+            if (_oracle->exhausted()) {
+                _ruu.pop_back();
                 break;
+            }
             sim_assert(_oracle->nextPc() == pc);
             const ExecutedInst &rec = _oracle->next();
             ri.oracleSeq = rec.seq;
@@ -794,7 +797,6 @@ RuuCore::doFetch()
                 if (frontend != actual) {
                     ri.mispredicted = true;
                     _wrongPathMode = true;
-                    redirected = true;
                     next_fetch = frontend;
                     cut = pred_taken;
                 } else if (pred_taken) {
@@ -809,12 +811,9 @@ RuuCore::doFetch()
             }
         } else if (!_wrongPathMode && ri.halt) {
             _haltFetched = true;
-            _fetchBuf.push_back(std::move(ri));
             break;
         }
 
-        (void)redirected;
-        _fetchBuf.push_back(std::move(ri));
         pc = next_fetch;
         if (cut)
             break;

@@ -15,11 +15,12 @@
 #ifndef SIMALPHA_OUTORDER_RUU_CORE_HH
 #define SIMALPHA_OUTORDER_RUU_CORE_HH
 
-#include <deque>
 #include <memory>
 #include <optional>
+#include <ranges>
 
 #include "common/error.hh"
+#include "common/ring.hh"
 #include "core/oracle.hh"
 #include "inject/inject.hh"
 #include "isa/machine.hh"
@@ -126,8 +127,8 @@ class RuuCore : public Machine
         InstSeq producers[3] = {kNoCycle, kNoCycle, kNoCycle};
         /** The producer's RUU entry; nullptr if it had already left
          *  the RUU at dispatch. Valid while producers[i] is not below
-         *  the RUU head's seq (deque references survive push_back
-         *  and pop_front). */
+         *  the RUU head's seq (ring slots keep their address while
+         *  the entry is resident; common/ring.hh). */
         const RuuInst *producerEntry[3] = {nullptr, nullptr, nullptr};
         int numSrcs = 0;
         RegIndex dst = kNoReg;
@@ -215,8 +216,27 @@ class RuuCore : public Machine
      *  dispatch. */
     std::vector<InstSeq> _regWriter;
 
-    std::deque<RuuInst> _fetchBuf;
-    std::deque<RuuInst> _ruu;
+    /** The RUU and, behind it, the fetch buffer, as two adjacent
+     *  index ranges of one fixed ring: the oldest _ruuCount entries
+     *  are dispatched (the RUU proper), the rest fetched but not yet
+     *  dispatched. Fetch builds entries in place at the tail,
+     *  dispatch moves the boundary, commit pops the front and
+     *  recovery pops the back. Capacity: ruuEntries + 4 * fetchWidth
+     *  (the fetch buffer's bound). */
+    Ring<RuuInst> _ruu;
+    std::size_t _ruuCount = 0;
+    std::size_t fetchBufSize() const { return _ruu.size() - _ruuCount; }
+    /** The RUU proper: the ring's dispatched entries, oldest first. */
+    std::ranges::subrange<Ring<RuuInst>::iterator>
+    ruuRange()
+    {
+        return {_ruu.begin(), _ruu.begin() + std::ptrdiff_t(_ruuCount)};
+    }
+    std::ranges::subrange<Ring<RuuInst>::const_iterator>
+    ruuRange() const
+    {
+        return {_ruu.begin(), _ruu.begin() + std::ptrdiff_t(_ruuCount)};
+    }
 
     struct PendingRecovery
     {
@@ -250,7 +270,7 @@ class RuuCore : public Machine
     std::vector<RuuInst *> _waiting;
     /** Correct-path stores resident in the RUU, in seq order (the
      *  store-forwarding index). */
-    std::deque<const RuuInst *> _stores;
+    Ring<const RuuInst *> _stores;
     /** SIMALPHA_SLOWPATH=1: execute every cycle, keep the fast
      *  bookkeeping alongside, and assert they agree. */
     bool _slowpath = false;

@@ -114,18 +114,18 @@ RuuCore::applyInjection()
         break;
       }
       case inject::Target::Rob: {
-        if (_ruu.empty()) {
+        if (!_ruuCount) {
             note += "(window empty; flip dropped)";
             break;
         }
-        RuuInst &d = _ruu[std::size_t(inj.index % _ruu.size())];
-        note += "slot " + std::to_string(inj.index % _ruu.size()) +
+        RuuInst &d = _ruu[std::size_t(inj.index % _ruuCount)];
+        note += "slot " + std::to_string(inj.index % _ruuCount) +
                 " " + flipEntry(d);
         break;
       }
       case inject::Target::Lsq: {
         std::vector<std::size_t> mem;
-        for (std::size_t i = 0; i < _ruu.size(); i++)
+        for (std::size_t i = 0; i < _ruuCount; i++)
             if (_ruu[i].inst.isMem())
                 mem.push_back(i);
         if (mem.empty()) {
@@ -141,7 +141,7 @@ RuuCore::applyInjection()
         // The RUU doubles as the issue window: strike an entry that
         // is dispatched but not yet issued.
         std::vector<std::size_t> waiting;
-        for (std::size_t i = 0; i < _ruu.size(); i++)
+        for (std::size_t i = 0; i < _ruuCount; i++)
             if (_ruu[i].dispatched && !_ruu[i].issued)
                 waiting.push_back(i);
         if (waiting.empty()) {

@@ -52,8 +52,11 @@ TEST(AssertRelease, PanicStillThrowsUnderNdebug)
         EXPECT_NE(what.find("release-mode panic payload"),
                   std::string::npos)
             << what;
-        EXPECT_NE(what.find("test_assert_release"), std::string::npos)
-            << "panic lost its source location: " << what;
+        EXPECT_EQ(what.find("test_assert_release"), std::string::npos)
+            << "the message carries the source location: " << what;
+        EXPECT_NE(e.location().find("test_assert_release"),
+                  std::string::npos)
+            << "panic lost its source location: " << e.location();
     }
 }
 

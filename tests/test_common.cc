@@ -1,16 +1,21 @@
 /**
  * @file
  * Unit tests for the common foundation: statistics, configuration,
- * deterministic RNG, and logging counters.
+ * deterministic RNG, logging counters, and the fixed ring.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ranges>
 #include <sstream>
+#include <vector>
 
 #include "common/config.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 
 using namespace simalpha;
@@ -250,4 +255,135 @@ TEST(Logging, WarnCountIncrements)
     std::uint64_t before = warnCount();
     warn("test warning %d", 1);
     EXPECT_EQ(warnCount(), before + 1);
+}
+
+namespace {
+
+/** The ring's elements front to back, through its iterators. */
+std::vector<int>
+contents(const Ring<int> &r)
+{
+    return std::vector<int>(r.begin(), r.end());
+}
+
+} // namespace
+
+TEST(Ring, WrapsAroundItsStorage)
+{
+    Ring<int> r(4);
+    for (int round = 0; round < 5; round++) {
+        for (int i = 0; i < 3; i++)
+            r.push_back(10 * round + i);
+        EXPECT_EQ(r.front(), 10 * round);
+        EXPECT_EQ(r.back(), 10 * round + 2);
+        for (int i = 0; i < 3; i++) {
+            EXPECT_EQ(r[0], 10 * round + i);
+            r.pop_front();
+        }
+        EXPECT_TRUE(r.empty());
+    }
+}
+
+TEST(Ring, PopBackAcrossTheWrap)
+{
+    Ring<int> r(4);
+    for (int i = 0; i < 3; i++)
+        r.push_back(i);
+    r.pop_front();
+    r.pop_front();
+    // Slots 2, 3, 0, 1: the last two pushes wrap to the storage start.
+    r.push_back(3);
+    r.push_back(4);
+    r.push_back(5);
+    EXPECT_EQ(r.size(), r.capacity());
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 3, 4, 5}));
+    r.pop_back();
+    r.pop_back();
+    r.pop_back();
+    EXPECT_EQ(contents(r), (std::vector<int>{2}));
+    r.push_back(6);
+    EXPECT_EQ(contents(r), (std::vector<int>{2, 6}));
+}
+
+TEST(Ring, IteratesForwardAndInReverse)
+{
+    Ring<int> r(5);
+    for (int i = 0; i < 4; i++)
+        r.push_back(i);
+    r.pop_front();
+    r.push_back(4);
+    r.push_back(5);
+    EXPECT_EQ(contents(r), (std::vector<int>{1, 2, 3, 4, 5}));
+    auto reversed = r | std::views::reverse;
+    std::vector<int> rev(reversed.begin(), reversed.end());
+    EXPECT_EQ(rev, (std::vector<int>{5, 4, 3, 2, 1}));
+    EXPECT_EQ(r.end() - r.begin(), 5);
+    // Random access: sorted by construction, so binary search works.
+    auto it = std::lower_bound(r.begin(), r.end(), 4);
+    EXPECT_EQ(it - r.begin(), 3);
+    EXPECT_EQ(*it, 4);
+}
+
+TEST(Ring, ElementAddressesAreStableAcrossPushAndPop)
+{
+    Ring<int> r(8);
+    for (int i = 0; i < 6; i++)
+        r.push_back(i);
+    int *third = &r[2];
+    int *last = &r.back();
+    for (int round = 0; round < 2; round++) {
+        r.pop_front();          // elements before `third` leave
+        r.push_back(100 + round);
+    }
+    r.pop_back();               // younger elements come and go
+    r.push_back(7);
+    EXPECT_EQ(third, &r[0]);
+    EXPECT_EQ(*third, 2);
+    EXPECT_EQ(last, &r[3]);
+    EXPECT_EQ(*last, 5);
+}
+
+TEST(Ring, EmplaceBackValueInitialises)
+{
+    struct Slot
+    {
+        int a = 7;
+        int b = 0;
+    };
+    Ring<Slot> r(2);
+    r.emplace_back().b = 5;
+    r.pop_front();
+    r.emplace_back();
+    r.pop_front();
+    Slot &reused = r.emplace_back();    // the first slot again
+    EXPECT_EQ(reused.a, 7);
+    EXPECT_EQ(reused.b, 0);
+}
+
+TEST(Ring, OverflowAndUnderflowAreInvariantErrors)
+{
+    Ring<int> r(3);
+    for (int i = 0; i < 3; i++)
+        r.push_back(i);
+    // The bound is the requested capacity, not the power-of-two
+    // storage behind it.
+    EXPECT_EQ(r.capacity(), 3u);
+    EXPECT_THROW(r.push_back(3), InvariantError);
+    EXPECT_THROW(r.emplace_back(), InvariantError);
+    EXPECT_EQ(contents(r), (std::vector<int>{0, 1, 2}));
+    r.clear();
+    EXPECT_THROW(r.pop_front(), InvariantError);
+    EXPECT_THROW(r.pop_back(), InvariantError);
+}
+
+TEST(Ring, ResetKeepsStorageThatIsLargeEnough)
+{
+    Ring<int> r(6);
+    r.push_back(1);
+    int *slot = &r.front();
+    r.reset(5);
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 5u);
+    r.push_back(2);
+    EXPECT_EQ(&r.front(), slot);
 }

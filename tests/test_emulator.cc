@@ -9,6 +9,7 @@
 
 #include <cstring>
 
+#include "common/error.hh"
 #include "core/oracle.hh"
 #include "isa/assembler.hh"
 #include "isa/emulator.hh"
@@ -317,7 +318,8 @@ TEST(OracleStream, DeliversInOrder)
     b.unop(4);
     b.halt();
     Program p = b.finish();
-    OracleStream o(p);
+    OracleStream o(8);
+    o.reset(p);
     for (int i = 0; i < 5; i++) {
         EXPECT_FALSE(o.exhausted());
         EXPECT_EQ(o.next().seq, InstSeq(i));
@@ -333,7 +335,8 @@ TEST(OracleStream, RewindReplaysBufferedRecords)
     b.lda(R(3), 3);
     b.halt();
     Program p = b.finish();
-    OracleStream o(p);
+    OracleStream o(8);
+    o.reset(p);
     o.next();
     InstSeq second = o.next().seq;
     o.next();
@@ -348,7 +351,8 @@ TEST(OracleStream, RetireTrimsBuffer)
     b.unop(10);
     b.halt();
     Program p = b.finish();
-    OracleStream o(p);
+    OracleStream o(8);
+    o.reset(p);
     for (int i = 0; i < 6; i++)
         o.next();
     EXPECT_EQ(o.bufferedRecords(), 6u);
@@ -359,13 +363,56 @@ TEST(OracleStream, RetireTrimsBuffer)
     EXPECT_EQ(o.next().seq, 4u);
 }
 
+TEST(OracleStream, BufferIsBoundedByItsCapacity)
+{
+    ProgramBuilder b("t");
+    b.unop(6);
+    b.halt();
+    Program p = b.finish();
+    OracleStream o(3);
+    o.reset(p);
+    for (int i = 0; i < 3; i++)
+        o.next();
+    EXPECT_THROW(o.next(), InvariantError);
+    // Retiring makes room again.
+    OracleStream r(3);
+    r.reset(p);
+    for (int i = 0; i < 3; i++)
+        r.next();
+    r.retireBefore(1);
+    EXPECT_EQ(r.next().seq, 3u);
+}
+
+TEST(OracleStream, ResetRestartsOnAnotherProgram)
+{
+    ProgramBuilder a("a");
+    a.unop(3);
+    a.halt();
+    Program pa = a.finish();
+    ProgramBuilder b("b");
+    b.lda(R(1), 7);
+    b.halt();
+    Program pb = b.finish();
+    OracleStream o(8);
+    o.reset(pa);
+    o.next();
+    o.next();
+    o.reset(pb);
+    EXPECT_EQ(o.bufferedRecords(), 0u);
+    EXPECT_EQ(o.nextPc(), pb.pcOf(0));
+    EXPECT_EQ(o.next().seq, 0u);
+    EXPECT_TRUE(o.next().halted);
+    EXPECT_TRUE(o.exhausted());
+}
+
 TEST(OracleStream, NextPcTracksCursor)
 {
     ProgramBuilder b("t");
     b.unop(2);
     b.halt();
     Program p = b.finish();
-    OracleStream o(p);
+    OracleStream o(8);
+    o.reset(p);
     EXPECT_EQ(o.nextPc(), p.pcOf(0));
     o.next();
     EXPECT_EQ(o.nextPc(), p.pcOf(1));

@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -500,14 +499,9 @@ TEST(VulnRunner, OutcomesOfAFixedPlanArePinned)
         ASSERT_EQ(result.cells.size(), 40u) << machine;
         for (const CellResult &r : result.cells) {
             ASSERT_TRUE(r.ok) << machine << ": " << r.error;
-            // An invariant's message names its source file and line;
-            // neither is an outcome.
-            std::string detail = std::regex_replace(
-                r.injectDetail, std::regex(R"(\S+\.(cc|hh):[0-9]+: )"),
-                "");
             all += std::string(machine) + '|' +
                    inj::targetName(r.cell.inject.target) + '|' +
-                   r.injectOutcome + '|' + detail + '|' +
+                   r.injectOutcome + '|' + r.injectDetail + '|' +
                    std::to_string(r.cycles) + '|' +
                    std::to_string(r.instsCommitted) + '\n';
         }

@@ -10,7 +10,9 @@
  *    asserts that they agree) produces byte-identical stats dumps to
  *    the default fast path over a mixed micro/macro cell set that
  *    includes 30K-instruction gcc, mesa, art and equake on every
- *    core;
+ *    core and on the configurations whose squashes take other routes
+ *    through the window (sim-initial's late branch recovery, no
+ *    load-use speculation, no mbox replay traps);
  *  - core reuse via reset() is invisible: N runs on one reused core
  *    produce byte-identical dumps to N runs on N fresh cores.
  */
@@ -37,10 +39,19 @@ struct CellSpec
     std::uint64_t maxInsts;
 };
 
-/** A mixed micro/macro grid over every core type: detailed golden,
- *  sim-alpha, the stripped ablation, and the abstract comparator.
- *  The SPEC-like programs Table 3 spends its time on (deep windows,
- *  cache misses, store forwarding, replays) run on all four. */
+/** The machines of the grid: detailed golden, sim-alpha, the stripped
+ *  ablation and the abstract comparator, plus the detailed variants
+ *  that squash differently (late recovery, no load-use speculation,
+ *  no mbox traps). */
+const std::vector<const char *> kMachines = {
+    "ds10l",        "sim-alpha",         "sim-stripped",
+    "sim-outorder", "sim-initial",       "sim-alpha-no-luse",
+    "sim-alpha-no-trap",
+};
+
+/** A mixed micro/macro grid over every machine. The SPEC-like
+ *  programs Table 3 spends its time on (deep windows, cache misses,
+ *  store forwarding, replays) run on all of them. */
 const std::vector<CellSpec> &
 mixedCells()
 {
@@ -51,8 +62,7 @@ mixedCells()
             {"sim-stripped", "C-R", 4000},  {"sim-outorder", "C-O", 4000},
             {"sim-outorder", "E-D1", 4000},
         };
-        for (const char *machine :
-             {"ds10l", "sim-alpha", "sim-stripped", "sim-outorder"})
+        for (const char *machine : kMachines)
             for (const char *workload : {"gcc", "mesa", "art", "equake"})
                 c.push_back({machine, workload, 30000});
         return c;
@@ -122,8 +132,7 @@ TEST(PerfPaths, ReusedCoreMatchesFreshCoresByteForByte)
     // per cell (construction path). The dumps must match bytewise —
     // including a repeat of the first cell after the core has run a
     // different workload, the hardest case for stale state.
-    for (const char *name :
-         {"ds10l", "sim-alpha", "sim-stripped", "sim-outorder"}) {
+    for (const char *name : kMachines) {
         std::vector<CellSpec> cells;
         for (const CellSpec &cell : mixedCells())
             if (std::string(cell.machine) == name)

@@ -1329,6 +1329,10 @@ main(int argc, char **argv)
     } catch (const ConfigError &e) {
         std::fprintf(stderr, "simalpha: %s\n", e.what());
         return 2;
+    } catch (const InvariantError &e) {
+        std::fprintf(stderr, "simalpha: [%s] %s: %s\n", e.kind().c_str(),
+                     e.location().c_str(), e.what());
+        return 1;
     } catch (const SimError &e) {
         std::fprintf(stderr, "simalpha: [%s] %s\n", e.kind().c_str(),
                      e.what());

@@ -9,6 +9,12 @@ cmake --build build -j
 cd build
 ctest --output-on-failure -j "$@"
 
+# Slowpath equivalence: rerun the hot-path checks with
+# SIMALPHA_SLOWPATH=1, which executes the original per-cycle scans
+# beside every cached wakeup/index value and asserts they agree
+# (about 25 s).
+SIMALPHA_SLOWPATH=1 ctest --output-on-failure -L perf
+
 # Wait until the daemon on store $1 answers a health request, polling
 # for up to 60 s: a slow host delays start-up, it does not fail it.
 wait_healthy() {
