@@ -12,7 +12,7 @@
 #include <unordered_set>
 
 #include "checkpoint/checkpoint.hh"
-#include "runner/artifacts.hh"
+#include "common/json.hh"
 #include "runner/campaign.hh"
 #include "runner/journal.hh"
 #include "serve/client.hh"
@@ -29,11 +29,11 @@ cancelRequestLine(const std::string &campaign, std::uint64_t maxInsts,
 {
     std::ostringstream os;
     os << "{\"op\":\"cancel\",\"campaign\":\""
-       << runner::jsonEscape(campaign) << "\"";
+       << json::escape(campaign) << "\"";
     if (maxInsts)
         os << ",\"max_insts\":" << maxInsts;
     if (!sample.empty())
-        os << ",\"sample\":\"" << runner::jsonEscape(sample) << "\"";
+        os << ",\"sample\":\"" << json::escape(sample) << "\"";
     os << "}";
     return os.str();
 }

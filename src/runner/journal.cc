@@ -3,15 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "checkpoint/checkpoint.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 #include "runner/artifacts.hh"
@@ -49,38 +48,29 @@ journalKey(const Cell &cell)
     return key;
 }
 
-/** Fixed-point text form of the sampling statistics: the journal's
- *  line parser reads only strings/integers/bools, and a fixed decimal
- *  representation round-trips byte-identically. */
-static std::string
-fixed6(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
 std::string
 journalLine(const std::string &campaign, const CellResult &r)
 {
     std::ostringstream os;
-    os << "{\"campaign\":\"" << jsonEscape(campaign) << "\""
-       << ",\"machine\":\"" << jsonEscape(r.cell.machine) << "\""
+    os << "{\"campaign\":\"" << json::escape(campaign) << "\""
+       << ",\"machine\":\"" << json::escape(r.cell.machine) << "\""
        << ",\"optimization\":\""
        << validate::optimizationName(r.cell.opt) << "\""
-       << ",\"workload\":\"" << jsonEscape(r.cell.workload) << "\""
+       << ",\"workload\":\"" << json::escape(r.cell.workload) << "\""
        << ",\"max_insts\":" << r.cell.maxInsts
        << ",\"seed\":" << r.seed
-       << ",\"manifest_hash\":\"" << jsonEscape(r.manifestHash) << "\""
+       << ",\"manifest_hash\":\"" << json::escape(r.manifestHash) << "\""
        << ",\"ok\":" << (r.ok ? "true" : "false")
-       << ",\"error\":\"" << jsonEscape(r.error) << "\""
-       << ",\"error_class\":\"" << jsonEscape(r.errorClass) << "\""
+       << ",\"error\":\"" << json::escape(r.error) << "\""
+       << ",\"error_class\":\"" << json::escape(r.errorClass) << "\""
        << ",\"cycles\":" << r.cycles
        << ",\"insts\":" << r.instsCommitted
        << ",\"finished\":" << (r.finished ? "true" : "false");
     // Sampling fields appear only on sampled cells, so every line an
     // unsampled campaign writes is byte-identical to the pre-sampling
-    // format (golden artifacts, store payloads, resume keys).
+    // format (golden artifacts, store payloads, resume keys). The
+    // statistics travel as fixed6 strings, which round-trip byte for
+    // byte where a double's text need not.
     if (r.cell.sample.enabled()) {
         os << ",\"sample\":\""
            << checkpoint::formatSampleSpec(r.cell.sample) << "\""
@@ -97,9 +87,9 @@ journalLine(const std::string &campaign, const CellResult &r)
     if (r.cell.inject.enabled()) {
         os << ",\"inject\":\""
            << inject::formatInjectSpec(r.cell.inject) << "\""
-           << ",\"inject_outcome\":\"" << jsonEscape(r.injectOutcome)
+           << ",\"inject_outcome\":\"" << json::escape(r.injectOutcome)
            << "\""
-           << ",\"inject_detail\":\"" << jsonEscape(r.injectDetail)
+           << ",\"inject_detail\":\"" << json::escape(r.injectDetail)
            << "\"";
     }
     os << ",\"counters\":{";
@@ -107,7 +97,7 @@ journalLine(const std::string &campaign, const CellResult &r)
     for (const auto &kv : r.counters) {
         if (!first)
             os << ",";
-        os << "\"" << jsonEscape(kv.first) << "\":" << kv.second;
+        os << "\"" << json::escape(kv.first) << "\":" << kv.second;
         first = false;
     }
     os << "}}";
@@ -115,215 +105,6 @@ journalLine(const std::string &campaign, const CellResult &r)
 }
 
 namespace {
-
-/**
- * A minimal parser for the journal's own output: flat objects whose
- * values are strings, unsigned integers, booleans, or one nested
- * string->integer object. Not a general JSON parser — it only needs to
- * read what journalLine() writes (and reject everything else).
- */
-class LineParser
-{
-  public:
-    explicit LineParser(const std::string &text) : _s(text) {}
-
-    bool
-    object(std::unordered_map<std::string, std::string> *strings,
-           std::unordered_map<std::string, std::uint64_t> *numbers,
-           std::unordered_map<std::string, bool> *bools,
-           std::map<std::string, std::uint64_t> *counters)
-    {
-        skipWs();
-        if (!eat('{'))
-            return false;
-        skipWs();
-        if (eat('}'))
-            return true;
-        for (;;) {
-            std::string key;
-            if (!stringLit(&key))
-                return false;
-            skipWs();
-            if (!eat(':'))
-                return false;
-            skipWs();
-            if (peek() == '"') {
-                std::string v;
-                if (!stringLit(&v))
-                    return false;
-                (*strings)[key] = v;
-            } else if (peek() == 't' || peek() == 'f') {
-                bool v;
-                if (!boolLit(&v))
-                    return false;
-                (*bools)[key] = v;
-            } else if (peek() == '{') {
-                if (key != "counters" || !countersObj(counters))
-                    return false;
-            } else {
-                std::uint64_t v;
-                if (!numberLit(&v))
-                    return false;
-                (*numbers)[key] = v;
-            }
-            skipWs();
-            if (eat(',')) {
-                skipWs();
-                continue;
-            }
-            if (eat('}')) {
-                skipWs();
-                return _pos >= _s.size();
-            }
-            return false;
-        }
-    }
-
-  private:
-    char
-    peek() const
-    {
-        return _pos < _s.size() ? _s[_pos] : '\0';
-    }
-
-    bool
-    eat(char c)
-    {
-        if (peek() != c)
-            return false;
-        _pos++;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (_pos < _s.size() &&
-               std::isspace(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-    }
-
-    bool
-    stringLit(std::string *out)
-    {
-        if (!eat('"'))
-            return false;
-        out->clear();
-        while (_pos < _s.size()) {
-            char c = _s[_pos++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (_pos >= _s.size())
-                return false;
-            char esc = _s[_pos++];
-            switch (esc) {
-              case '"':
-                *out += '"';
-                break;
-              case '\\':
-                *out += '\\';
-                break;
-              case 'n':
-                *out += '\n';
-                break;
-              case 't':
-                *out += '\t';
-                break;
-              case 'u': {
-                if (_pos + 4 > _s.size())
-                    return false;
-                unsigned v = 0;
-                for (int i = 0; i < 4; i++) {
-                    char h = _s[_pos++];
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= unsigned(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= unsigned(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= unsigned(h - 'A' + 10);
-                    else
-                        return false;
-                }
-                // The writer only \u-escapes control bytes.
-                if (v > 0xFF)
-                    return false;
-                *out += char(v);
-                break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false;
-    }
-
-    bool
-    boolLit(bool *out)
-    {
-        if (_s.compare(_pos, 4, "true") == 0) {
-            _pos += 4;
-            *out = true;
-            return true;
-        }
-        if (_s.compare(_pos, 5, "false") == 0) {
-            _pos += 5;
-            *out = false;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    numberLit(std::uint64_t *out)
-    {
-        std::size_t start = _pos;
-        while (_pos < _s.size() &&
-               std::isdigit(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-        if (_pos == start)
-            return false;
-        *out = std::strtoull(_s.substr(start, _pos - start).c_str(),
-                             nullptr, 10);
-        return true;
-    }
-
-    bool
-    countersObj(std::map<std::string, std::uint64_t> *out)
-    {
-        if (!eat('{'))
-            return false;
-        skipWs();
-        if (eat('}'))
-            return true;
-        for (;;) {
-            std::string key;
-            std::uint64_t value;
-            if (!stringLit(&key))
-                return false;
-            skipWs();
-            if (!eat(':'))
-                return false;
-            skipWs();
-            if (!numberLit(&value))
-                return false;
-            (*out)[key] = value;
-            skipWs();
-            if (eat(',')) {
-                skipWs();
-                continue;
-            }
-            return eat('}');
-        }
-    }
-
-    const std::string &_s;
-    std::size_t _pos = 0;
-};
 
 Optimization
 parseOptimization(const std::string &name)
@@ -343,57 +124,81 @@ bool
 parseJournalLine(const std::string &line, const std::string &campaign,
                  CellResult *result, std::string *key)
 {
-    std::unordered_map<std::string, std::string> strings;
-    std::unordered_map<std::string, std::uint64_t> numbers;
-    std::unordered_map<std::string, bool> bools;
-    std::map<std::string, std::uint64_t> counters;
-
-    LineParser parser(line);
-    if (!parser.object(&strings, &numbers, &bools, &counters))
+    using Kind = json::Value::Kind;
+    json::Value root;
+    if (!json::parse(line, &root, nullptr))
         return false;
-    if (strings["campaign"] != campaign)
-        return false;
-    if (!strings.count("machine") || !strings.count("workload") ||
-        !numbers.count("seed") || !bools.count("ok"))
+    // Flat string, integer and bool members plus one string->integer
+    // "counters" object; anything else (a heartbeat's or store
+    // summary's nested object, a fraction) is not a result line.
+    for (const json::Member &m : root.members) {
+        Kind kind = m.value.kind;
+        if (kind == Kind::Number ||
+            (kind == Kind::Object && m.key != "counters"))
+            return false;
+        for (const json::Member &c : m.value.members)
+            if (c.value.kind != Kind::UInt)
+                return false;
+    }
+    static const std::string kAbsent;
+    auto text = [&](const char *name) -> const std::string & {
+        const json::Value *v = root.find(name, Kind::String);
+        return v ? v->str : kAbsent;
+    };
+    auto num = [&](const char *name) {
+        const json::Value *v = root.find(name, Kind::UInt);
+        return v ? v->uint : std::uint64_t(0);
+    };
+    const json::Value *machine = root.find("machine", Kind::String);
+    const json::Value *workload = root.find("workload", Kind::String);
+    const json::Value *seed = root.find("seed", Kind::UInt);
+    const json::Value *ok = root.find("ok", Kind::Bool);
+    if (text("campaign") != campaign || !machine || !workload || !seed ||
+        !ok)
         return false;
 
     CellResult r;
-    r.cell.machine = strings["machine"];
-    r.cell.opt = parseOptimization(strings["optimization"]);
-    r.cell.workload = strings["workload"];
-    r.cell.maxInsts = numbers["max_insts"];
-    r.cell.seed = numbers["seed"];    // pin the journaled seed
-    r.seed = numbers["seed"];
-    r.manifestHash = strings["manifest_hash"];
-    r.ok = bools["ok"];
-    r.error = strings["error"];
-    r.errorClass = strings["error_class"];
-    r.cycles = numbers["cycles"];
-    r.instsCommitted = numbers["insts"];
-    r.finished = bools.count("finished") ? bools["finished"] : false;
-    if (strings.count("sample")) {
+    r.cell.machine = machine->str;
+    r.cell.opt = parseOptimization(text("optimization"));
+    r.cell.workload = workload->str;
+    r.cell.maxInsts = num("max_insts");
+    r.cell.seed = seed->uint;    // pin the journaled seed
+    r.seed = seed->uint;
+    r.manifestHash = text("manifest_hash");
+    r.ok = ok->boolean;
+    r.error = text("error");
+    r.errorClass = text("error_class");
+    r.cycles = num("cycles");
+    r.instsCommitted = num("insts");
+    const json::Value *finished = root.find("finished", Kind::Bool);
+    r.finished = finished && finished->boolean;
+    if (const json::Value *sample = root.find("sample", Kind::String)) {
         std::string serror;
-        if (!checkpoint::parseSampleSpec(strings["sample"],
-                                         &r.cell.sample, &serror))
+        if (!checkpoint::parseSampleSpec(sample->str, &r.cell.sample,
+                                         &serror))
             return false;
-        r.sampleWindows = numbers["sample_windows"];
-        r.sampleTotalInsts = numbers["sample_total_insts"];
+        r.sampleWindows = num("sample_windows");
+        r.sampleTotalInsts = num("sample_total_insts");
         r.sampleIpcMean =
-            std::strtod(strings["sample_ipc_mean"].c_str(), nullptr);
+            std::strtod(text("sample_ipc_mean").c_str(), nullptr);
         r.sampleIpcStddev =
-            std::strtod(strings["sample_ipc_stddev"].c_str(), nullptr);
+            std::strtod(text("sample_ipc_stddev").c_str(), nullptr);
         r.sampleIpcCi =
-            std::strtod(strings["sample_ipc_ci"].c_str(), nullptr);
+            std::strtod(text("sample_ipc_ci").c_str(), nullptr);
     }
-    if (strings.count("inject")) {
+    if (const json::Value *inject = root.find("inject", Kind::String)) {
         std::string ierror;
-        if (!inject::parseInjectSpec(strings["inject"], &r.cell.inject,
+        if (!inject::parseInjectSpec(inject->str, &r.cell.inject,
                                      &ierror))
             return false;
-        r.injectOutcome = strings["inject_outcome"];
-        r.injectDetail = strings["inject_detail"];
+        r.injectOutcome = text("inject_outcome");
+        r.injectDetail = text("inject_detail");
     }
-    r.counters = std::move(counters);
+    if (const json::Value *counters =
+            root.find("counters", Kind::Object))
+        for (const json::Member &c : counters->members)
+            r.counters.insert_or_assign(r.counters.end(), c.key,
+                                        c.value.uint);
     r.fromJournal = true;
 
     *key = journalKey(r.cell);

@@ -1,13 +1,11 @@
 #include "runner/perfbench.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -17,6 +15,7 @@
 #include <unistd.h>
 
 #include "common/error.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "isa/emulator.hh"
 #include "runner/artifacts.hh"
@@ -133,17 +132,47 @@ timeSampledPath(const CampaignSpec &t3, std::uint64_t max_insts,
     return true;
 }
 
+/** The emulator paths and the inject-idle pair run the workload set
+ *  several times and keep the fastest pass: a single capped pass is a
+ *  few milliseconds at emulator speed, and on a shared machine
+ *  scheduler noise and frequency throttling swamp it (one detailed
+ *  pass per side let the inject-idle ratio swing from 0.75x to
+ *  1.72x). Interference is strictly one-sided (it only ever slows a
+ *  pass down), so the best pass is the least contaminated estimate of
+ *  the code's real rate, and using the same estimator for the pinned
+ *  baseline and the smoke gate keeps their ratio meaningful. */
+constexpr int kEmulatorBenchPasses = 10;
+
+/** Keep (insts, seconds) of the fastest pass seen so far. */
+void
+keepBestPass(std::uint64_t insts,
+             std::chrono::steady_clock::time_point t0,
+             std::chrono::steady_clock::time_point t1, PerfPath *out)
+{
+    double seconds = elapsedSeconds(t0, t1);
+    if (out->seconds == 0.0 ||
+        (seconds > 0.0 &&
+         double(insts) / seconds > double(out->insts) / out->seconds)) {
+        out->insts = insts;
+        out->seconds = seconds;
+    }
+}
+
 /**
- * The injection-overhead row: the detailed sim-alpha cells again, on
- * a core that has explicitly seen armInjection(nullptr) — the
- * disarmed state every plain campaign runs in. The per-cycle hook is
- * one predicted-not-taken branch, so this must match the detailed
- * row within run-to-run noise. Machine construction and workload
- * generation stay outside the timed region, like the runner's pool.
+ * The injection-overhead row: the detailed sim-alpha cells in
+ * alternating passes on one machine, calling armInjection(nullptr)
+ * before every run of one pass — the disarmed state every plain
+ * campaign runs in — and not at all in the next. The per-cycle hook is
+ * one predicted-not-taken branch, so the fastest passes of the two
+ * must agree within noise. Alternating exposes both to the same host
+ * conditions, and one machine gives both the same heap placement (two
+ * machine instances differed by up to 30% in their fastest passes).
+ * Machine construction and workload generation stay outside the timed
+ * region, like the runner's pool.
  */
 bool
-timeInjectIdlePath(const CampaignSpec &t3, PerfPath *out,
-                   std::string *error)
+timeInjectIdlePath(const CampaignSpec &t3, PerfPath *idle,
+                   PerfPath *plain, std::string *error)
 {
     std::vector<Program> progs;
     std::vector<std::uint64_t> caps;
@@ -161,48 +190,30 @@ timeInjectIdlePath(const CampaignSpec &t3, PerfPath *out,
     if (!machine)
         return false;
 
-    std::uint64_t insts = 0;
-    auto t0 = std::chrono::steady_clock::now();
+    *idle = PerfPath{};
+    *plain = PerfPath{};
     try {
-        for (std::size_t i = 0; i < progs.size(); i++) {
-            machine->armInjection(nullptr, 0);
-            RunResult r = machine->run(progs[i], caps[i]);
-            insts += r.instsCommitted;
+        for (int pass = 0; pass < kEmulatorBenchPasses; pass++) {
+            for (bool armed : {false, true}) {
+                std::uint64_t insts = 0;
+                auto t0 = std::chrono::steady_clock::now();
+                for (std::size_t i = 0; i < progs.size(); i++) {
+                    if (armed)
+                        machine->armInjection(nullptr, 0);
+                    insts += machine->run(progs[i], caps[i])
+                                 .instsCommitted;
+                }
+                auto t1 = std::chrono::steady_clock::now();
+                keepBestPass(insts, t0, t1, armed ? idle : plain);
+            }
         }
     } catch (const SimError &e) {
         *error = std::string("inject-idle run failed: ") + e.what();
         return false;
     }
-    auto t1 = std::chrono::steady_clock::now();
-    out->insts = insts;
-    out->seconds = elapsedSeconds(t0, t1);
-    finishPath(out);
+    finishPath(idle);
+    finishPath(plain);
     return true;
-}
-
-/** The emulator paths run the workload set several times and keep the
- *  fastest pass: a single capped pass is a few milliseconds at
- *  emulator speed, and on a shared machine scheduler noise and
- *  frequency throttling swamp it. Interference is strictly one-sided
- *  (it only ever slows a pass down), so the best pass is the least
- *  contaminated estimate of the code's real rate, and using the same
- *  estimator for the pinned baseline and the smoke gate keeps their
- *  ratio meaningful. */
-constexpr int kEmulatorBenchPasses = 10;
-
-/** Keep (insts, seconds) of the fastest pass seen so far. */
-void
-keepBestPass(std::uint64_t insts,
-             std::chrono::steady_clock::time_point t0,
-             std::chrono::steady_clock::time_point t1, PerfPath *out)
-{
-    double seconds = elapsedSeconds(t0, t1);
-    if (out->seconds == 0.0 ||
-        (seconds > 0.0 &&
-         double(insts) / seconds > double(out->insts) / out->seconds)) {
-        out->insts = insts;
-        out->seconds = seconds;
-    }
 }
 
 /** Time the raw functional Emulator over the same workload set. */
@@ -379,7 +390,7 @@ void
 entryToJson(std::ostringstream &o, const char *key, const PerfEntry &e)
 {
     o << "  \"" << key << "\": {\"build_type\":\""
-      << jsonEscape(e.buildType) << "\",\"max_insts\":"
+      << json::escape(e.buildType) << "\",\"max_insts\":"
       << (unsigned long long)e.maxInsts << ",";
     pathToJson(o, "detailed", e.detailed);
     o << ",";
@@ -406,266 +417,84 @@ entryToJson(std::ostringstream &o, const char *key, const PerfEntry &e)
 }
 
 // ---------------------------------------------------------------
-// JSON parsing (self-contained; the trajectory file must stay
-// machine-readable across PRs, so drift is a hard parse error)
+// JSON parsing (the trajectory file must stay machine-readable across
+// changes, so drift is a hard parse error)
 // ---------------------------------------------------------------
 
-struct Json
-{
-    enum Kind { Null, Num, Str, Obj };
-    Kind kind = Null;
-    double num = 0.0;
-    std::string str;
-    std::map<std::string, Json> obj;
-};
-
-class JsonParser
-{
-  public:
-    JsonParser(const char *p, const char *end) : _p(p), _end(end) {}
-
-    bool
-    parseTop(Json *out)
-    {
-        if (!parseValue(out))
-            return false;
-        ws();
-        if (_p != _end)
-            return fail("trailing content after JSON value");
-        return true;
-    }
-
-    const std::string &error() const { return _err; }
-
-  private:
-    void
-    ws()
-    {
-        while (_p != _end &&
-               std::isspace(static_cast<unsigned char>(*_p)))
-            _p++;
-    }
-
-    bool
-    fail(const char *msg)
-    {
-        if (_err.empty())
-            _err = msg;
-        return false;
-    }
-
-    bool
-    parseString(std::string *out)
-    {
-        if (_p == _end || *_p != '"')
-            return fail("expected string");
-        _p++;
-        out->clear();
-        while (_p != _end && *_p != '"') {
-            char c = *_p++;
-            if (c != '\\') {
-                out->push_back(c);
-                continue;
-            }
-            if (_p == _end)
-                return fail("truncated escape");
-            char e = *_p++;
-            switch (e) {
-              case '"': out->push_back('"'); break;
-              case '\\': out->push_back('\\'); break;
-              case '/': out->push_back('/'); break;
-              case 'b': out->push_back('\b'); break;
-              case 'f': out->push_back('\f'); break;
-              case 'n': out->push_back('\n'); break;
-              case 'r': out->push_back('\r'); break;
-              case 't': out->push_back('\t'); break;
-              case 'u': {
-                if (_end - _p < 4)
-                    return fail("truncated \\u escape");
-                unsigned v = 0;
-                for (int i = 0; i < 4; i++) {
-                    char h = *_p++;
-                    v <<= 4;
-                    if (h >= '0' && h <= '9')
-                        v |= unsigned(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        v |= unsigned(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        v |= unsigned(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                // The writer only \u-escapes control bytes.
-                out->push_back(v < 0x80 ? char(v) : '?');
-                break;
-              }
-              default:
-                return fail("unknown escape");
-            }
-        }
-        if (_p == _end)
-            return fail("unterminated string");
-        _p++; // closing quote
-        return true;
-    }
-
-    bool
-    parseNumber(double *out)
-    {
-        char *endp = nullptr;
-        *out = std::strtod(_p, &endp);
-        if (endp == _p)
-            return fail("expected number");
-        _p = endp;
-        return true;
-    }
-
-    bool
-    parseObject(Json *out)
-    {
-        _p++; // '{'
-        out->kind = Json::Obj;
-        ws();
-        if (_p != _end && *_p == '}') {
-            _p++;
-            return true;
-        }
-        for (;;) {
-            ws();
-            std::string key;
-            if (!parseString(&key))
-                return false;
-            ws();
-            if (_p == _end || *_p != ':')
-                return fail("expected ':'");
-            _p++;
-            Json v;
-            if (!parseValue(&v))
-                return false;
-            out->obj[key] = std::move(v);
-            ws();
-            if (_p == _end)
-                return fail("unterminated object");
-            if (*_p == ',') {
-                _p++;
-                continue;
-            }
-            if (*_p == '}') {
-                _p++;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    parseValue(Json *out)
-    {
-        ws();
-        if (_p == _end)
-            return fail("unexpected end of input");
-        char c = *_p;
-        if (c == '{')
-            return parseObject(out);
-        if (c == '"') {
-            out->kind = Json::Str;
-            return parseString(&out->str);
-        }
-        if (c == '-' || c == '+' ||
-            std::isdigit(static_cast<unsigned char>(c))) {
-            out->kind = Json::Num;
-            return parseNumber(&out->num);
-        }
-        return fail("unexpected token");
-    }
-
-    const char *_p;
-    const char *_end;
-    std::string _err;
-};
-
-const Json *
-getField(const Json &o, const char *key, Json::Kind kind,
+const json::Value *
+getField(const json::Value &o, const char *key, json::Value::Kind kind,
          std::string *error)
 {
-    auto it = o.obj.find(key);
-    if (it == o.obj.end() || it->second.kind != kind) {
+    const json::Value *v = o.find(key);
+    // JSON does not tell 1 from 1.0, so an integer is a number too.
+    bool numeric = kind == json::Value::Kind::Number && v &&
+                   v->kind == json::Value::Kind::UInt;
+    if (!v || (v->kind != kind && !numeric)) {
         *error = std::string("missing or ill-typed field \"") + key +
                  "\"";
         return nullptr;
     }
-    return &it->second;
+    return v;
 }
 
 bool
-pathFromJson(const Json &parent, const char *key, PerfPath *p,
+pathFromJson(const json::Value &parent, const char *key, PerfPath *p,
              std::string *error)
 {
-    const Json *j = getField(parent, key, Json::Obj, error);
+    using Kind = json::Value::Kind;
+    const json::Value *j = getField(parent, key, Kind::Object, error);
     if (!j)
         return false;
-    const Json *insts = getField(*j, "insts", Json::Num, error);
-    const Json *seconds = getField(*j, "seconds", Json::Num, error);
-    const Json *ips = getField(*j, "ips", Json::Num, error);
+    const json::Value *insts = getField(*j, "insts", Kind::UInt, error);
+    const json::Value *seconds =
+        getField(*j, "seconds", Kind::Number, error);
+    const json::Value *ips = getField(*j, "ips", Kind::Number, error);
     if (!insts || !seconds || !ips)
         return false;
-    p->insts = std::uint64_t(insts->num);
-    p->seconds = seconds->num;
-    p->ips = ips->num;
+    p->insts = insts->uint;
+    p->seconds = seconds->number;
+    p->ips = ips->number;
     return true;
 }
 
 bool
-entryFromJson(const Json &parent, const char *key, PerfEntry *e,
+entryFromJson(const json::Value &parent, const char *key, PerfEntry *e,
               std::string *error)
 {
-    const Json *j = getField(parent, key, Json::Obj, error);
+    using Kind = json::Value::Kind;
+    const json::Value *j = getField(parent, key, Kind::Object, error);
     if (!j)
         return false;
-    const Json *bt = getField(*j, "build_type", Json::Str, error);
-    const Json *mi = getField(*j, "max_insts", Json::Num, error);
+    const json::Value *bt = getField(*j, "build_type", Kind::String,
+                                     error);
+    const json::Value *mi = getField(*j, "max_insts", Kind::UInt, error);
     if (!bt || !mi)
         return false;
     e->buildType = bt->str;
-    e->maxInsts = std::uint64_t(mi->num);
-    if (!pathFromJson(*j, "detailed", &e->detailed, error) ||
-        !pathFromJson(*j, "abstract", &e->abstracted, error) ||
-        !pathFromJson(*j, "emulator", &e->emulator, error))
-        return false;
-    // Optional: files written before the predecoded batch row existed.
-    if (j->obj.count("emu_pre") &&
-        !pathFromJson(*j, "emu_pre", &e->emuPre, error))
-        return false;
-    // Optional: trajectory files written before the sampled path
-    // existed have no "sampled" object; its absence is not drift.
-    if (j->obj.count("sampled") &&
-        !pathFromJson(*j, "sampled", &e->sampled, error))
-        return false;
-    // Optional for the same reason: files written before the
-    // injection-overhead row existed.
-    if (j->obj.count("inject_idle") &&
-        !pathFromJson(*j, "inject_idle", &e->injectIdle, error))
-        return false;
-    // Optional: the campaign-service rows arrived with `simalpha
-    // serve`; their absence (or a build without the hook) is not
-    // drift.
-    if (j->obj.count("serve_cold") &&
-        !pathFromJson(*j, "serve_cold", &e->serveCold, error))
-        return false;
-    if (j->obj.count("serve_warm") &&
-        !pathFromJson(*j, "serve_warm", &e->serveWarm, error))
-        return false;
-    // Optional likewise: the fleet rows arrived with the dispatcher.
-    if (j->obj.count("fleet_cold") &&
-        !pathFromJson(*j, "fleet_cold", &e->fleetCold, error))
-        return false;
-    if (j->obj.count("fleet_warm") &&
-        !pathFromJson(*j, "fleet_warm", &e->fleetWarm, error))
-        return false;
-    // Optional: files written before the indexed warm-store row.
-    if (j->obj.count("warm_store") &&
-        !pathFromJson(*j, "warm_store", &e->warmStore, error))
-        return false;
+    e->maxInsts = mi->uint;
+    // Rows past the first three arrived after the file format did
+    // (predecoded batch loop, sampling, injection, the service and
+    // fleet tiers, the store index), so older files lack them: an
+    // absent one is not drift, an ill-formed one is.
+    static const std::pair<const char *, PerfPath PerfEntry::*> rows[] = {
+        {"detailed", &PerfEntry::detailed},
+        {"abstract", &PerfEntry::abstracted},
+        {"emulator", &PerfEntry::emulator},
+        {"emu_pre", &PerfEntry::emuPre},
+        {"sampled", &PerfEntry::sampled},
+        {"inject_idle", &PerfEntry::injectIdle},
+        {"serve_cold", &PerfEntry::serveCold},
+        {"serve_warm", &PerfEntry::serveWarm},
+        {"fleet_cold", &PerfEntry::fleetCold},
+        {"fleet_warm", &PerfEntry::fleetWarm},
+        {"warm_store", &PerfEntry::warmStore},
+    };
+    for (std::size_t i = 0; i < std::size(rows); i++) {
+        auto [name, path] = rows[i];
+        if ((i < 3 || j->find(name)) &&
+            !pathFromJson(*j, name, &(e->*path), error))
+            return false;
+    }
     e->valid = true;
     return true;
 }
@@ -730,7 +559,7 @@ measurePerf(std::uint64_t max_insts, PerfEntry *out, std::string *error)
         return false;
     if (!timeWarmStorePath(t3, &e.warmStore, error))
         return false;
-    if (!timeInjectIdlePath(t3, &e.injectIdle, error))
+    if (!timeInjectIdlePath(t3, &e.injectIdle, &e.injectPlain, error))
         return false;
     if (g_serveBench &&
         !g_serveBench(max_insts, &e.serveCold, &e.serveWarm, error))
@@ -749,7 +578,7 @@ perfReportToJson(const PerfReport &report)
     std::ostringstream o;
     o << "{\n";
     o << "  \"schema_version\": " << report.schemaVersion << ",\n";
-    o << "  \"campaign\": \"" << jsonEscape(report.campaign)
+    o << "  \"campaign\": \"" << json::escape(report.campaign)
       << "\",\n";
     entryToJson(o, "baseline", report.baseline);
     o << ",\n";
@@ -766,33 +595,28 @@ bool
 parsePerfReport(const std::string &text, PerfReport *out,
                 std::string *error)
 {
-    Json root;
-    JsonParser p(text.data(), text.data() + text.size());
-    if (!p.parseTop(&root)) {
-        *error = p.error();
+    using Kind = json::Value::Kind;
+    json::Value root;
+    if (!json::parse(text, &root, error))
         return false;
-    }
-    if (root.kind != Json::Obj) {
-        *error = "top-level value is not an object";
-        return false;
-    }
-    const Json *ver = getField(root, "schema_version", Json::Num,
-                               error);
+    const json::Value *ver = getField(root, "schema_version", Kind::UInt,
+                                      error);
     if (!ver)
         return false;
-    if (int(ver->num) != 1) {
+    if (ver->uint != 1) {
         *error = "unsupported schema_version";
         return false;
     }
-    const Json *camp = getField(root, "campaign", Json::Str, error);
-    const Json *spd = getField(root, "speedup_detailed", Json::Num,
-                               error);
+    const json::Value *camp = getField(root, "campaign", Kind::String,
+                                       error);
+    const json::Value *spd = getField(root, "speedup_detailed",
+                                      Kind::Number, error);
     if (!camp || !spd)
         return false;
     PerfReport r;
-    r.schemaVersion = int(ver->num);
+    r.schemaVersion = int(ver->uint);
     r.campaign = camp->str;
-    r.speedupDetailed = spd->num;
+    r.speedupDetailed = spd->number;
     if (!entryFromJson(root, "baseline", &r.baseline, error) ||
         !entryFromJson(root, "current", &r.current, error))
         return false;
@@ -1027,10 +851,12 @@ runBenchCommand(int argc, char **argv)
                         "cells through two socket hops)\n",
                         e.fleetWarm.ips / e.fleetCold.ips);
     }
-    if (e.detailed.ips > 0.0 && e.injectIdle.ips > 0.0)
+    if (e.injectPlain.ips > 0.0 && e.injectIdle.ips > 0.0)
         std::printf("inject-idle vs detailed: %.3fx (disarmed "
-                    "injection hooks; ~1.0 expected)\n",
-                    e.injectIdle.ips / e.detailed.ips);
+                    "injection hooks, fastest of %d alternating "
+                    "passes each; ~1.0 expected)\n",
+                    e.injectIdle.ips / e.injectPlain.ips,
+                    kEmulatorBenchPasses);
     if (report.baseline.maxInsts != e.maxInsts)
         std::printf("note: baseline was recorded at max_insts=%llu — "
                     "speedup compares insts/s across caps\n",

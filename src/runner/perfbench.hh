@@ -72,6 +72,13 @@ struct PerfEntry
      */
     PerfPath injectIdle;
     /**
+     * The plain detailed passes timed alternately with `injectIdle`,
+     * on the same machine without the armInjection() calls: the
+     * denominator of the inject-idle ratio `simalpha bench` prints.
+     * Not written to the trajectory file.
+     */
+    PerfPath injectPlain;
+    /**
      * The campaign service measured end-to-end: a private daemon on a
      * temp store, the same capped Table-3 campaign submitted through
      * the socket, wall clock from submit to done line. `serveCold`

@@ -7,8 +7,8 @@
 #include <fstream>
 #include <unordered_map>
 
+#include "common/json.hh"
 #include "common/names.hh"
-#include "runner/artifacts.hh"
 #include "runner/journal.hh"
 
 namespace simalpha {
@@ -157,36 +157,45 @@ heartbeatLine(const std::string &campaign, std::size_t cellIndex,
               const std::string &workload)
 {
     std::string line = "{\"campaign\":\"";
-    line += jsonEscape(campaign);
+    line += json::escape(campaign);
     line += "\",\"heartbeat\":\"start\",\"cell\":";
     line += std::to_string(cellIndex);
     line += ",\"workload\":\"";
-    line += jsonEscape(workload);
+    line += json::escape(workload);
     line += "\"}";
     return line;
 }
+
+namespace {
+
+/** Parse @p line as an object whose "campaign" is @p campaign. */
+bool
+parseCampaignObject(const std::string &line, const std::string &campaign,
+                    json::Value *root)
+{
+    if (!json::parse(line, root, nullptr))
+        return false;
+    const json::Value *c = root->find("campaign", json::Value::Kind::String);
+    return c && c->str == campaign;
+}
+
+} // namespace
 
 bool
 parseHeartbeatLine(const std::string &line, const std::string &campaign,
                    std::size_t *cellIndex)
 {
-    // An exact-prefix parse of our own writer's output (the same
-    // contract the journal parser follows: read what we write, reject
-    // everything else).
-    std::string prefix = "{\"campaign\":\"";
-    prefix += jsonEscape(campaign);
-    prefix += "\",\"heartbeat\":\"start\",\"cell\":";
-    if (line.compare(0, prefix.size(), prefix) != 0)
+    // Read what our own writer produced, reject everything else:
+    // result lines carry no "heartbeat" member.
+    json::Value root;
+    if (!parseCampaignObject(line, campaign, &root))
         return false;
-    std::size_t pos = prefix.size();
-    std::size_t start = pos;
-    while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9')
-        pos++;
-    if (pos == start || pos >= line.size() || line[pos] != ',')
+    const json::Value *hb =
+        root.find("heartbeat", json::Value::Kind::String);
+    const json::Value *cell = root.find("cell", json::Value::Kind::UInt);
+    if (!hb || hb->str != "start" || !cell)
         return false;
-    *cellIndex =
-        std::strtoull(line.substr(start, pos - start).c_str(),
-                      nullptr, 10);
+    *cellIndex = std::size_t(cell->uint);
     return true;
 }
 
@@ -195,7 +204,7 @@ storeSummaryLine(const std::string &campaign,
                  const StoreTraffic &traffic)
 {
     std::string line = "{\"campaign\":\"";
-    line += jsonEscape(campaign);
+    line += json::escape(campaign);
     line += "\",\"store_summary\":{\"hits\":";
     line += std::to_string(traffic.hits);
     line += ",\"misses\":";
@@ -212,39 +221,30 @@ bool
 parseStoreSummaryLine(const std::string &line,
                       const std::string &campaign, StoreTraffic *out)
 {
-    // Same exact-prefix contract as parseHeartbeatLine: read what our
-    // own writer produced, reject everything else (in particular the
-    // campaign-journal parser rejects these lines, so they never leak
-    // into merged results).
-    std::string prefix = "{\"campaign\":\"";
-    prefix += jsonEscape(campaign);
-    prefix += "\",\"store_summary\":{\"hits\":";
-    if (line.compare(0, prefix.size(), prefix) != 0)
+    // Same contract as parseHeartbeatLine (and the campaign-journal
+    // parser rejects these lines, so they never leak into merged
+    // results).
+    json::Value root;
+    if (!parseCampaignObject(line, campaign, &root))
         return false;
-    std::size_t pos = prefix.size();
-    auto number = [&](const char *sep, std::uint64_t *value) {
-        std::size_t start = pos;
-        while (pos < line.size() && line[pos] >= '0' &&
-               line[pos] <= '9')
-            pos++;
-        if (pos == start)
-            return false;
-        *value = std::strtoull(
-            line.substr(start, pos - start).c_str(), nullptr, 10);
-        std::size_t n = std::strlen(sep);
-        if (line.compare(pos, n, sep) != 0)
-            return false;
-        pos += n;
-        return true;
-    };
+    const json::Value *summary =
+        root.find("store_summary", json::Value::Kind::Object);
+    if (!summary)
+        return false;
     StoreTraffic t;
-    if (!number(",\"misses\":", &t.hits) ||
-        !number(",\"bytes_read\":", &t.misses) ||
-        !number(",\"bytes_written\":", &t.bytesRead) ||
-        !number("}}", &t.bytesWritten))
-        return false;
-    if (pos != line.size())
-        return false;
+    std::pair<const char *, std::uint64_t *> fields[] = {
+        {"hits", &t.hits},
+        {"misses", &t.misses},
+        {"bytes_read", &t.bytesRead},
+        {"bytes_written", &t.bytesWritten},
+    };
+    for (auto &[name, value] : fields) {
+        const json::Value *v =
+            summary->find(name, json::Value::Kind::UInt);
+        if (!v)
+            return false;
+        *value = v->uint;
+    }
     *out = t;
     return true;
 }

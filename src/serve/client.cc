@@ -17,7 +17,7 @@
 #include <unordered_map>
 
 #include "checkpoint/checkpoint.hh"
-#include "runner/artifacts.hh"
+#include "common/json.hh"
 #include "runner/campaign.hh"
 #include "runner/journal.hh"
 #include "serve/proto.hh"
@@ -236,11 +236,11 @@ submitLine(const std::string &op, const std::string &campaign,
 {
     std::ostringstream os;
     os << "{\"op\":\"" << op << "\",\"campaign\":\""
-       << runner::jsonEscape(campaign) << "\"";
+       << json::escape(campaign) << "\"";
     if (maxInsts)
         os << ",\"max_insts\":" << maxInsts;
     if (!sample.empty())
-        os << ",\"sample\":\"" << runner::jsonEscape(sample) << "\"";
+        os << ",\"sample\":\"" << json::escape(sample) << "\"";
     os << "}";
     return os.str();
 }

@@ -1,150 +1,40 @@
 #include "serve/proto.hh"
 
-#include <cctype>
 #include <cstdlib>
 #include <sstream>
 
-#include "runner/artifacts.hh"   // jsonEscape
+#include "common/json.hh"
 
 namespace simalpha {
 namespace serve {
 
-using runner::jsonEscape;
-
 namespace {
 
 /**
- * Flat-object scanner shared by request and control-line parsing:
- * strings and unsigned integers only, no nesting, no trailing bytes.
- * Mirrors the journal's LineParser but is independent of it — the
- * wire protocol must stay parseable even if the journal grows richer
- * value kinds.
+ * Parse a flat object of string and unsigned-integer members — the
+ * whole grammar of requests and control lines — into the two maps.
+ * Any other value kind (a nested object, a bool, a signed or
+ * fractional number) rejects the line, so the wire protocol stays this
+ * narrow even though the journal's lines carry richer kinds.
  */
-class FlatParser
+bool
+parseFlat(const std::string &line,
+          std::map<std::string, std::string> *strings,
+          std::map<std::string, std::uint64_t> *numbers)
 {
-  public:
-    explicit FlatParser(const std::string &text) : _s(text) {}
-
-    bool
-    object(std::map<std::string, std::string> *strings,
-           std::map<std::string, std::uint64_t> *numbers)
-    {
-        skipWs();
-        if (!eat('{'))
-            return false;
-        skipWs();
-        if (eat('}'))
-            return done();
-        for (;;) {
-            std::string key;
-            if (!stringLit(&key))
-                return false;
-            skipWs();
-            if (!eat(':'))
-                return false;
-            skipWs();
-            if (peek() == '"') {
-                std::string v;
-                if (!stringLit(&v))
-                    return false;
-                (*strings)[key] = v;
-            } else if (std::isdigit(
-                           static_cast<unsigned char>(peek()))) {
-                std::uint64_t v;
-                if (!numberLit(&v))
-                    return false;
-                (*numbers)[key] = v;
-            } else {
-                return false;
-            }
-            skipWs();
-            if (eat(',')) {
-                skipWs();
-                continue;
-            }
-            if (eat('}'))
-                return done();
-            return false;
-        }
-    }
-
-  private:
-    bool
-    done()
-    {
-        skipWs();
-        return _pos >= _s.size();
-    }
-
-    char
-    peek() const
-    {
-        return _pos < _s.size() ? _s[_pos] : '\0';
-    }
-
-    bool
-    eat(char c)
-    {
-        if (peek() != c)
-            return false;
-        _pos++;
-        return true;
-    }
-
-    void
-    skipWs()
-    {
-        while (_pos < _s.size() &&
-               std::isspace(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-    }
-
-    bool
-    stringLit(std::string *out)
-    {
-        if (!eat('"'))
-            return false;
-        out->clear();
-        while (_pos < _s.size()) {
-            char c = _s[_pos++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (_pos >= _s.size())
-                return false;
-            char esc = _s[_pos++];
-            switch (esc) {
-              case '"': *out += '"'; break;
-              case '\\': *out += '\\'; break;
-              case '/': *out += '/'; break;
-              case 'n': *out += '\n'; break;
-              case 't': *out += '\t'; break;
-              default: return false;
-            }
-        }
+    json::Value root;
+    if (!json::parse(line, &root, nullptr))
         return false;
-    }
-
-    bool
-    numberLit(std::uint64_t *out)
-    {
-        std::size_t start = _pos;
-        while (_pos < _s.size() &&
-               std::isdigit(static_cast<unsigned char>(_s[_pos])))
-            _pos++;
-        if (_pos == start || _pos - start > 20)
+    for (json::Member &m : root.members) {
+        if (m.value.kind == json::Value::Kind::String)
+            (*strings)[m.key] = std::move(m.value.str);
+        else if (m.value.kind == json::Value::Kind::UInt)
+            (*numbers)[m.key] = m.value.uint;
+        else
             return false;
-        *out = std::strtoull(_s.substr(start, _pos - start).c_str(),
-                             nullptr, 10);
-        return true;
     }
-
-    const std::string &_s;
-    std::size_t _pos = 0;
-};
+    return true;
+}
 
 } // namespace
 
@@ -190,8 +80,7 @@ parseRequest(const std::string &line, Request *out, std::string *error)
     }
     std::map<std::string, std::string> strings;
     std::map<std::string, std::uint64_t> numbers;
-    FlatParser parser(line);
-    if (!parser.object(&strings, &numbers)) {
+    if (!parseFlat(line, &strings, &numbers)) {
         if (error)
             *error = "request is not a flat JSON object of "
                      "string/integer fields";
@@ -234,8 +123,7 @@ parseServeLine(const std::string &line,
                std::map<std::string, std::string> *strings,
                std::map<std::string, std::uint64_t> *numbers)
 {
-    FlatParser parser(line);
-    return parser.object(strings, numbers);
+    return parseFlat(line, strings, numbers);
 }
 
 std::string
@@ -244,7 +132,7 @@ helloLine(const std::string &storePath, std::size_t maxPending,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"hello\",\"version\":"
-       << kProtoVersion << ",\"store\":\"" << jsonEscape(storePath)
+       << kProtoVersion << ",\"store\":\"" << json::escape(storePath)
        << "\",\"max_pending\":" << maxPending
        << ",\"max_clients\":" << maxClients << "}";
     return os.str();
@@ -255,8 +143,8 @@ errorLine(const std::string &code, const std::string &message)
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"error\",\"code\":\""
-       << jsonEscape(code) << "\",\"message\":\""
-       << jsonEscape(message) << "\"}";
+       << json::escape(code) << "\",\"message\":\""
+       << json::escape(message) << "\"}";
     return os.str();
 }
 
@@ -266,7 +154,7 @@ acceptedLine(const std::string &campaign, const std::string &jobId,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"accepted\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
+       << json::escape(campaign) << "\",\"job\":\"" << json::escape(jobId)
        << "\",\"cells\":" << cells
        << ",\"pending_ahead\":" << pendingAhead << "}";
     return os.str();
@@ -279,10 +167,10 @@ doneLine(const std::string &campaign, const std::string &jobId,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"done\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
+       << json::escape(campaign) << "\",\"job\":\"" << json::escape(jobId)
        << "\",\"cells\":" << cells << ",\"ok\":" << okCells
        << ",\"failed\":" << failedCells << ",\"outcome\":\""
-       << jsonEscape(outcome) << "\"}";
+       << json::escape(outcome) << "\"}";
     return os.str();
 }
 
@@ -293,8 +181,8 @@ statusLine(const std::string &campaign, const std::string &jobId,
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"status\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
-       << "\",\"state\":\"" << jsonEscape(state)
+       << json::escape(campaign) << "\",\"job\":\"" << json::escape(jobId)
+       << "\",\"state\":\"" << json::escape(state)
        << "\",\"settled\":" << settled << ",\"cells\":" << cells
        << "}";
     return os.str();
@@ -316,7 +204,7 @@ healthLine(const HealthSnapshot &s)
        << ",\"busy_rejections\":" << s.busyRejections
        << ",\"pid\":" << s.pid
        << ",\"uptime_s\":" << s.uptimeSeconds
-       << ",\"store_path\":\"" << jsonEscape(s.storePath) << "\"}";
+       << ",\"store_path\":\"" << json::escape(s.storePath) << "\"}";
     return os.str();
 }
 
@@ -328,8 +216,8 @@ capabilitiesLine(const Capabilities &caps)
        << kProtoVersion
        << ",\"ops\":\"hello,submit,status,results,cancel,health,"
           "capabilities,sync,shutdown\""
-       << ",\"store_path\":\"" << jsonEscape(caps.storePath)
-       << "\",\"isolate\":\"" << jsonEscape(caps.isolate)
+       << ",\"store_path\":\"" << json::escape(caps.storePath)
+       << "\",\"isolate\":\"" << json::escape(caps.isolate)
        << "\",\"max_line_bytes\":" << kMaxLineBytes
        << ",\"max_sync_line_bytes\":" << kMaxSyncLineBytes
        << ",\"max_pending\":" << caps.maxPending
@@ -344,7 +232,7 @@ syncedLine(const std::string &direction, std::uint64_t entries)
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"synced\",\"direction\":\""
-       << jsonEscape(direction) << "\",\"entries\":" << entries
+       << json::escape(direction) << "\",\"entries\":" << entries
        << "}";
     return os.str();
 }
@@ -360,7 +248,7 @@ cancellingLine(const std::string &campaign, const std::string &jobId)
 {
     std::ostringstream os;
     os << "{\"serve\":1,\"event\":\"cancelling\",\"campaign\":\""
-       << jsonEscape(campaign) << "\",\"job\":\"" << jsonEscape(jobId)
+       << json::escape(campaign) << "\",\"job\":\"" << json::escape(jobId)
        << "\"}";
     return os.str();
 }

@@ -37,10 +37,11 @@
  * Dump lines may carry checkpoint blobs, so sync mode raises the line
  * cap to kMaxSyncLineBytes.
  *
- * The parser here is deliberately tiny and hostile-input-safe: flat
- * objects of string/integer values only, bounded by the server's line
- * cap, returning false (never throwing, never reading out of bounds)
- * for anything else. Fuzzable garbage costs one "error" reply line.
+ * Requests and control lines are read with the shared JSON codec
+ * (common/json.hh) and then held to flat objects of string/unsigned-
+ * integer values, bounded by the server's line cap; anything else
+ * returns false (never throwing, never reading out of bounds).
+ * Fuzzable garbage costs one "error" reply line.
  */
 
 #ifndef SIMALPHA_SERVE_PROTO_HH

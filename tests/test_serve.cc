@@ -235,6 +235,16 @@ serveCode(const std::string &line)
     return strings["code"];
 }
 
+/** `{"a":` repeated up to the request line cap. */
+std::string
+nestedToTheCap()
+{
+    std::string s;
+    while (s.size() + 5 <= kMaxLineBytes)
+        s += "{\"a\":";
+    return s;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -264,6 +274,10 @@ TEST(ServeProto, FuzzedRequestLinesNeverCrashTheParser)
         std::string("\x01\x02\xff\xfe", 4),
         std::string(1000, '{'),
         "{\"\\u0041\":\"x\"}",
+        // At the line cap: the nesting bound, not the stack, stops
+        // these.
+        std::string(kMaxLineBytes, '{'),
+        nestedToTheCap(),
     };
     for (const std::string &line : garbage) {
         Request req;
@@ -287,6 +301,30 @@ TEST(ServeProto, FuzzedRequestLinesNeverCrashTheParser)
     EXPECT_EQ(req.campaign, "smoke");
     EXPECT_EQ(req.maxInsts, 12345u);
     EXPECT_EQ(req.sample, "windows=3,len=500");
+}
+
+TEST(ServeProto, DeepAndOverflowingRequestsAreRejected)
+{
+    for (const std::string &line : {
+             std::string(kMaxLineBytes, '{'),
+             nestedToTheCap(),
+             std::string("{\"op\":\"submit\",\"max_insts\":"
+                         "99999999999999999999}"),
+         }) {
+        Request req;
+        std::string error;
+        EXPECT_FALSE(parseRequest(line, &req, &error))
+            << line.substr(0, 80);
+        EXPECT_FALSE(error.empty());
+    }
+    // The largest 64-bit value is still exact.
+    Request req;
+    std::string error;
+    ASSERT_TRUE(parseRequest("{\"op\":\"submit\",\"max_insts\":"
+                             "18446744073709551615}",
+                             &req, &error))
+        << error;
+    EXPECT_EQ(req.maxInsts, 18446744073709551615ull);
 }
 
 TEST(ServeProto, ControlLinesRoundTripAndClassify)

@@ -51,6 +51,7 @@
 
 #include "checkpoint/checkpoint.hh"
 #include "common/error.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "inject/inject.hh"
 #include "runner/artifacts.hh"
@@ -1102,17 +1103,17 @@ runSubmitCommand(int argc, char **argv)
 
     // One-line ops: hello, status, cancel, health, shutdown.
     std::ostringstream os;
-    os << "{\"op\":\"" << runner::jsonEscape(op) << "\"";
+    os << "{\"op\":\"" << json::escape(op) << "\"";
     if (!campaign.empty())
-        os << ",\"campaign\":\"" << runner::jsonEscape(campaign)
+        os << ",\"campaign\":\"" << json::escape(campaign)
            << "\"";
     if (maxInsts)
         os << ",\"max_insts\":" << maxInsts;
     if (!sampleStr.empty())
-        os << ",\"sample\":\"" << runner::jsonEscape(sampleStr)
+        os << ",\"sample\":\"" << json::escape(sampleStr)
            << "\"";
     if (!clientName.empty())
-        os << ",\"client\":\"" << runner::jsonEscape(clientName)
+        os << ",\"client\":\"" << json::escape(clientName)
            << "\"";
     os << "}";
 
