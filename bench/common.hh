@@ -2,8 +2,8 @@
  * @file
  * The capped-campaign setup shared by the table benches: quiet
  * logging, the common flag set (--store DIR, --jobs N, --max-insts N),
- * one parallel ExperimentRunner, and the optional store-traffic
- * summary after the campaign.
+ * one parallel ExperimentRunner, a hard stop on failed cells, and the
+ * optional store-traffic summary after the campaign.
  */
 
 #ifndef SIMALPHA_BENCH_COMMON_HH
@@ -18,6 +18,7 @@
 #include "common/logging.hh"
 #include "runner/campaign.hh"
 #include "runner/runner.hh"
+#include "validate/machines.hh"
 
 namespace simalpha {
 namespace bench {
@@ -26,6 +27,7 @@ class CampaignHarness
 {
   public:
     CampaignHarness(int argc, char **argv, const char *prog)
+        : _prog(prog)
     {
         setQuiet(true);
         _opts.jobs = 0;     // all cores
@@ -56,13 +58,28 @@ class CampaignHarness
         _runner = std::make_unique<runner::ExperimentRunner>(_opts);
     }
 
-    /** Run @p spec, capped when --max-insts was given. */
+    /** Run @p spec, capped when --max-insts was given. If any cell
+     *  failed, list every failed cell on stderr and exit 1: a table
+     *  rendered over missing cells would be wrong or abort. */
     runner::CampaignResult
     run(runner::CampaignSpec spec)
     {
         if (_maxInsts)
             spec = spec.withMaxInsts(_maxInsts);
-        return _runner->run(spec);
+        runner::CampaignResult result = _runner->run(spec);
+        if (result.errorCount() == 0)
+            return result;
+        std::fprintf(stderr, "%s: %zu of %zu cells failed:\n", _prog,
+                     result.errorCount(), result.cells.size());
+        for (const runner::CellResult &r : result.cells)
+            if (!r.ok)
+                std::fprintf(
+                    stderr, "  %s opt=%s %s: [%s] %s\n",
+                    r.cell.machine.c_str(),
+                    validate::optimizationName(r.cell.opt).c_str(),
+                    r.cell.workload.c_str(), r.errorClass.c_str(),
+                    r.error.c_str());
+        std::exit(1);
     }
 
     /** Store-traffic summary (no output without --store). */
@@ -80,6 +97,7 @@ class CampaignHarness
     }
 
   private:
+    const char *_prog;
     runner::RunnerOptions _opts;
     std::uint64_t _maxInsts = 0;
     std::unique_ptr<runner::ExperimentRunner> _runner;

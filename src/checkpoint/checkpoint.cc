@@ -15,7 +15,7 @@ namespace checkpoint {
 
 namespace {
 
-constexpr const char *kCkptMagic = "ckpt1";
+constexpr const char *kCkptMagic = "ckpt2";
 constexpr const char *kMetaMagic = "ffwd1";
 
 constexpr char kHexDigits[] = "0123456789abcdef";
@@ -108,7 +108,8 @@ serializeCheckpoint(const Checkpoint &ckpt)
     // Size the blob exactly (fixed text, separators, digits), then
     // fill it in one pass.
     const std::string seq = std::to_string(ckpt.seq);
-    std::size_t size = std::strlen("ckpt1 pc= seq= halted=0 regs= mem=") +
+    std::size_t size = std::strlen(kCkptMagic) +
+                       std::strlen(" pc= seq= halted=0 regs= mem=") +
                        seq.size() + hexDigits(ckpt.pc) +
                        (ckpt.regs.size() - 1);
     for (RegVal r : ckpt.regs)
@@ -268,17 +269,23 @@ programHash(const Program &program)
 }
 
 std::string
-checkpointKey(const Program &program, std::uint64_t insts)
+checkpointKey(std::uint64_t hash, std::uint64_t insts)
 {
-    return "ckpt|" + hex16(programHash(program)) + "|" +
-           std::to_string(insts);
+    // The "ckpt2" prefix follows the blob magic: an older store's
+    // full-image blobs sit under other keys and age out under gc.
+    return "ckpt2|" + hex16(hash) + "|" + std::to_string(insts);
+}
+
+std::string
+metaKey(std::uint64_t hash, std::uint64_t maxInsts)
+{
+    return "ckpt-meta|" + hex16(hash) + "|" + std::to_string(maxInsts);
 }
 
 std::string
 metaKey(const Program &program, std::uint64_t maxInsts)
 {
-    return "ckpt-meta|" + hex16(programHash(program)) + "|" +
-           std::to_string(maxInsts);
+    return metaKey(programHash(program), maxInsts);
 }
 
 std::string
@@ -419,6 +426,17 @@ collectCheckpoints(const Program &program,
                    std::vector<Checkpoint> *out,
                    std::string *error)
 {
+    return collectCheckpoints(program, programHash(program), offsets,
+                              store, out, error);
+}
+
+bool
+collectCheckpoints(const Program &program, std::uint64_t hash,
+                   const std::vector<std::uint64_t> &offsets,
+                   store::ResultStore *store,
+                   std::vector<Checkpoint> *out,
+                   std::string *error)
+{
     bool useStore = store && store->isOpen();
 
     // Resolve each distinct offset exactly once; ascending order so
@@ -434,7 +452,7 @@ collectCheckpoints(const Program &program,
         std::string payload, perror;
         Checkpoint c;
         if (useStore &&
-            store->lookup(checkpointKey(program, offset), &payload) &&
+            store->lookup(checkpointKey(hash, offset), &payload) &&
             parseCheckpoint(payload, &c, &perror) && c.seq == offset) {
             resolved[offset] = std::move(c);
         } else {
@@ -472,7 +490,7 @@ collectCheckpoints(const Program &program,
             std::string serror;
             // Publication failure is non-fatal: the blob exists in
             // memory and the next cold run regenerates it.
-            (void)store->publish(checkpointKey(program, target),
+            (void)store->publish(checkpointKey(hash, target),
                                  serializeCheckpoint(c), &serror);
         }
         resolved[target] = std::move(c);
@@ -496,7 +514,7 @@ collectCheckpoints(const Program &program,
 }
 
 std::size_t
-touchPlannedCheckpoints(const Program &program, std::uint64_t maxInsts,
+touchPlannedCheckpoints(std::uint64_t hash, std::uint64_t maxInsts,
                         const SampleSpec &spec,
                         store::ResultStore *store)
 {
@@ -508,7 +526,7 @@ touchPlannedCheckpoints(const Program &program, std::uint64_t maxInsts,
     // cold and the next run regenerates everything anyway.
     std::string payload;
     FastForwardInfo info;
-    if (!store->lookup(metaKey(program, maxInsts), &payload) ||
+    if (!store->lookup(metaKey(hash, maxInsts), &payload) ||
         !parseMeta(payload, &info))
         return 0;
 
@@ -519,7 +537,7 @@ touchPlannedCheckpoints(const Program &program, std::uint64_t maxInsts,
             seen.end())
             continue;
         seen.push_back(w.checkpointAt);
-        if (store->touch(checkpointKey(program, w.checkpointAt)))
+        if (store->touch(checkpointKey(hash, w.checkpointAt)))
             touched++;
     }
     return touched;

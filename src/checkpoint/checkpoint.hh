@@ -14,7 +14,8 @@
  * sampling-error bar.
  *
  * Checkpoints are architectural state only (registers, PC, retired-
- * instruction count, dirty memory) and therefore machine-independent:
+ * instruction count, and the memory words that differ from the
+ * program's initial data image) and therefore machine-independent:
  * every timing model restores from the same blob. They are serialized
  * as single-line text blobs into the existing content-addressed result
  * store (src/store/), keyed by the *program's* content hash plus the
@@ -43,16 +44,19 @@ namespace checkpoint {
 /**
  * Serialize a checkpoint as one line of text (the store's publish()
  * rejects embedded newlines, so the format is a line by construction).
- * The `ckpt1` grammar, exactly:
+ * The `ckpt2` grammar, exactly:
  *
- *   blob   := "ckpt1 pc=" hex " seq=" dec " halted=" ("0" | "1")
+ *   blob   := "ckpt2 pc=" hex " seq=" dec " halted=" ("0" | "1")
  *             " regs=" hex ("," hex){63} " mem=" [pair (";" pair)*]
  *   pair   := hex ":" hex          (addresses strictly ascending)
  *   hex    := "0" | [1-9a-f][0-9a-f]{0,15}
  *   dec    := "0" | [1-9][0-9]*    (at most 2^64-1)
  *
- * No sign, space, "0x" prefix, uppercase digit or leading zero. Every
- * state has exactly one blob: ckpt.memory must be in strictly
+ * No sign, space, "0x" prefix, uppercase digit or leading zero. The
+ * mem pairs are the checkpoint's delta against the program's data
+ * image (Checkpoint::memory), which `ckpt1` blobs did not hold: they
+ * listed every nonzero word, so the magic changed with the meaning.
+ * Every state has exactly one blob: ckpt.memory must be in strictly
  * ascending address order (Emulator::checkpoint() exports it so), and
  * equal states serialize to equal bytes.
  */
@@ -60,9 +64,9 @@ std::string serializeCheckpoint(const Checkpoint &ckpt);
 
 /** Parse serializeCheckpoint() output. Accepts exactly the grammar
  *  above; returns false with *error filled on anything else (wrong
- *  magic, a non-canonical or out-of-range number, addresses out of
- *  order, trailing garbage) — a corrupt blob must read as a miss,
- *  never as state. */
+ *  magic, a `ckpt1` blob included; a non-canonical or out-of-range
+ *  number, addresses out of order, trailing garbage) — a corrupt
+ *  blob must read as a miss, never as state. */
 bool parseCheckpoint(const std::string &text, Checkpoint *out,
                      std::string *error);
 
@@ -75,15 +79,22 @@ bool parseCheckpoint(const std::string &text, Checkpoint *out,
  * instruction, every initial data word). Checkpoints hold pure
  * architectural state, so they are keyed by the *workload's* identity
  * rather than any machine manifest — the same blob warms a sim-alpha
- * window and a sim-outorder window alike.
+ * window and a sim-outorder window alike. The hash reads every data
+ * word (milliseconds on the largest workloads), so callers compute it
+ * once per program and hand it to the key functions below.
  */
 std::uint64_t programHash(const Program &program);
 
-/** Store key of the checkpoint at @p insts retired instructions. */
-std::string checkpointKey(const Program &program, std::uint64_t insts);
+/** Store key "ckpt2|<hex16>|<insts>" of the checkpoint at @p insts
+ *  retired instructions of the program whose programHash() is
+ *  @p hash. */
+std::string checkpointKey(std::uint64_t hash, std::uint64_t insts);
 
-/** Store key of the fast-forward metadata for @p program capped at
- *  @p maxInsts (see FastForwardInfo). */
+/** Store key of the fast-forward metadata for the program hashed to
+ *  @p hash, capped at @p maxInsts (see FastForwardInfo). */
+std::string metaKey(std::uint64_t hash, std::uint64_t maxInsts);
+
+/** metaKey(programHash(program), maxInsts). */
 std::string metaKey(const Program &program, std::uint64_t maxInsts);
 
 /** What one emulator fast-forward learned about a workload: how long
@@ -172,8 +183,16 @@ FastForwardInfo fastForward(const Program &program,
  *
  * @p out receives one checkpoint per *requested* offset, in request
  * order. Returns false with *error filled only on invariant-grade
- * failures (an offset beyond the program's halt).
+ * failures (an offset beyond the program's halt). @p hash is
+ * programHash(program).
  */
+bool collectCheckpoints(const Program &program, std::uint64_t hash,
+                        const std::vector<std::uint64_t> &offsets,
+                        store::ResultStore *store,
+                        std::vector<Checkpoint> *out,
+                        std::string *error);
+
+/** collectCheckpoints() hashing @p program itself. */
 bool collectCheckpoints(const Program &program,
                         const std::vector<std::uint64_t> &offsets,
                         store::ResultStore *store,
@@ -182,14 +201,15 @@ bool collectCheckpoints(const Program &program,
 
 /**
  * Refresh the store's last-use sidecars for every entry a sampled
- * cell with this plan would read (the meta entry and each window's
- * checkpoint), without reading the blobs. Called when a sampled
+ * cell of the program hashed to @p hash with this plan would
+ * read (the meta entry and each window's checkpoint), without reading
+ * the blobs. Called when a sampled
  * result is served from the store: the checkpoints were not touched
  * by the warm rerun, and without this, gc would evict exactly the
  * entries the next cold window run needs most.
  * @return entries actually present and touched.
  */
-std::size_t touchPlannedCheckpoints(const Program &program,
+std::size_t touchPlannedCheckpoints(std::uint64_t hash,
                                     std::uint64_t maxInsts,
                                     const SampleSpec &spec,
                                     store::ResultStore *store);

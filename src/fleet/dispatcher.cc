@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -357,13 +359,19 @@ Dispatcher::execute(const serve::JobWork &work)
 
     // Cancel monitor: the server only flips work.cancel; someone has
     // to tell the workers. Forward protocol cancels for every shard
-    // identity so their streams settle as "cancelled" promptly.
-    std::atomic<bool> finishing{false};
+    // identity so their streams settle as "cancelled" promptly. It
+    // polls the flag every 50 ms, but wakes at once when the shards
+    // are done, so the join below costs no poll interval.
+    std::mutex monitorMu;
+    std::condition_variable monitorCv;
+    bool finishing = false;     // guarded by monitorMu
     std::thread cancelMonitor;
     if (work.cancel) {
         cancelMonitor = std::thread([&]() {
-            while (!finishing.load()) {
+            std::unique_lock<std::mutex> lock(monitorMu);
+            while (!finishing) {
                 if (work.cancel->load()) {
+                    lock.unlock();
                     for (std::size_t w : _registry.liveWorkers()) {
                         serve::ClientOptions copts =
                             _registry.clientFor(w);
@@ -380,8 +388,8 @@ Dispatcher::execute(const serve::JobWork &work)
                     }
                     return;
                 }
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
+                monitorCv.wait_for(lock, std::chrono::milliseconds(50),
+                                   [&] { return finishing; });
             }
         });
     }
@@ -392,7 +400,11 @@ Dispatcher::execute(const serve::JobWork &work)
         threads.emplace_back(runShard, i);
     for (std::thread &t : threads)
         t.join();
-    finishing.store(true);
+    {
+        std::lock_guard<std::mutex> lock(monitorMu);
+        finishing = true;
+    }
+    monitorCv.notify_all();
     if (cancelMonitor.joinable())
         cancelMonitor.join();
 

@@ -173,8 +173,8 @@ archDigest(const Checkpoint &state)
         mix64(r);
     mix64(state.pc);
     mix64(state.halted ? 1 : 0);
-    // The emulator exports words in page-table iteration order; sort
-    // so equal states digest equally regardless of touch order.
+    // Memory is the delta against the program's data image (see
+    // Checkpoint); sort so equal states digest equally in any order.
     std::vector<std::pair<Addr, RegVal>> mem = state.memory;
     std::sort(mem.begin(), mem.end());
     for (const auto &[addr, word] : mem) {
@@ -188,7 +188,9 @@ std::string
 goldenKey(const std::string &manifestHash, const std::string &workload,
           std::uint64_t maxInsts)
 {
-    return "vgold|" + manifestHash + "|" + workload + "|" +
+    // "vgold2": digests cover the checkpoint's memory delta, so a
+    // store's older full-image digests must miss, not misclassify.
+    return "vgold2|" + manifestHash + "|" + workload + "|" +
            std::to_string(maxInsts);
 }
 

@@ -130,10 +130,12 @@ bool outcomeByName(const std::string &name, Outcome *out);
 
 /**
  * Order-independent digest of final architectural state: FNV-1a over
- * the registers, PC, halt flag, and the address-sorted nonzero memory
- * words. The retired-instruction count (`seq`) is deliberately
- * excluded — two runs that converge to identical final state along
- * different-length paths are architecturally indistinguishable.
+ * the registers, PC, halt flag, and the address-sorted memory delta
+ * against the program's data image (Checkpoint::memory), which for a
+ * given program is one-to-one with its full memory state. The
+ * retired-instruction count (`seq`) is deliberately excluded — two
+ * runs that converge to identical final state along different-length
+ * paths are architecturally indistinguishable.
  */
 std::uint64_t archDigest(const Checkpoint &state);
 

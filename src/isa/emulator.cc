@@ -140,6 +140,14 @@ SparseMemory::write32(Addr addr, std::uint32_t value)
 std::vector<std::pair<Addr, RegVal>>
 SparseMemory::exportWords() const
 {
+    // Against the empty space, the differing words are the nonzero
+    // ones.
+    return diffWords(SparseMemory());
+}
+
+std::vector<std::pair<Addr, RegVal>>
+SparseMemory::diffWords(const SparseMemory &base) const
+{
     // Sorting the pages orders the words: a page's words are visited
     // in ascending offset.
     std::vector<std::pair<Addr, const Page *>> pages;
@@ -148,18 +156,38 @@ SparseMemory::exportWords() const
         pages.emplace_back(page_no, page.get());
     std::sort(pages.begin(), pages.end());
 
+    static const Page kZeroPage{};
+    auto word = [](const Page &page, Addr off) {
+        RegVal v = 0;
+        for (int i = 0; i < 8; i++)
+            v |= RegVal(page[off + Addr(i)]) << (8 * i);
+        return v;
+    };
     std::vector<std::pair<Addr, RegVal>> words;
+    std::size_t base_pages = 0;
     for (const auto &[page_no, page] : pages) {
-        Addr base = page_no << kPageShift;
+        const Page *old = base.findPage(page_no << kPageShift);
+        base_pages += old != nullptr;
+        if (!old)
+            old = &kZeroPage;
+        if (std::memcmp(page->data(), old->data(), kPageBytes) == 0)
+            continue;
+        Addr addr = page_no << kPageShift;
         for (Addr off = 0; off < kPageBytes; off += 8) {
-            RegVal v = 0;
-            for (int i = 0; i < 8; i++)
-                v |= RegVal((*page)[off + Addr(i)]) << (8 * i);
-            if (v != 0)
-                words.emplace_back(base + off, v);
+            RegVal v = word(*page, off);
+            if (v != word(*old, off))
+                words.emplace_back(addr + off, v);
         }
     }
+    sim_assert(base_pages == base._pages.size());
     return words;
+}
+
+void
+SparseMemory::writeWords(const std::vector<std::pair<Addr, RegVal>> &words)
+{
+    for (const auto &[addr, value] : words)
+        write64(addr, value);
 }
 
 namespace {
@@ -212,16 +240,15 @@ Emulator::decodeOne(const Instruction &inst)
 Emulator::Emulator(const Program &program)
     : _prog(program), _pc(program.entryPc)
 {
-    for (const auto &[addr, value] : program.data)
-        _mem.write64(addr, value);
+    _mem.writeWords(program.data);
     predecode();
 }
 
 Emulator::Emulator(const Program &program, const Checkpoint &start)
     : _prog(program), _pc(program.entryPc)
 {
-    // restore() replaces all memory, so the initial data image is
-    // never written.
+    // restore() replaces all memory, image included, so the image is
+    // written once, there.
     predecode();
     restore(start);
 }
@@ -292,7 +319,13 @@ Emulator::checkpoint() const
     c.pc = _pc;
     c.seq = _seq;
     c.halted = _halted;
-    c.memory = _mem.exportWords();
+    SparseMemory image;
+    image.writeWords(_prog.data);
+    c.memory = _mem.diffWords(image);
+    if (_slowpath) {
+        image.writeWords(c.memory);
+        sim_assert(image.exportWords() == _mem.exportWords());
+    }
     return c;
 }
 
@@ -307,8 +340,8 @@ Emulator::restore(const Checkpoint &ckpt)
     _seq = ckpt.seq;
     _halted = ckpt.halted;
     _mem.clear();
-    for (const auto &[addr, value] : ckpt.memory)
-        _mem.write64(addr, value);
+    _mem.writeWords(_prog.data);
+    _mem.writeWords(ckpt.memory);
 }
 
 ExecutedInst

@@ -59,7 +59,21 @@ class SparseMemory
      *  (address, word) pairs in ascending address order. */
     std::vector<std::pair<Addr, RegVal>> exportWords() const;
 
-    /** Drop every page (restore starts from a zero-filled space). */
+    /**
+     * Every aligned word whose value differs from @p base, as
+     * (address, word) pairs in ascending address order: a zero where
+     * @p base holds a nonzero word. Every page of @p base must be
+     * touched here too (an emulator's memory starts as its data image
+     * and never drops a page); a page equal to its @p base page costs
+     * one memcmp.
+     */
+    std::vector<std::pair<Addr, RegVal>>
+    diffWords(const SparseMemory &base) const;
+
+    /** write64() each (address, word) pair, in order. */
+    void writeWords(const std::vector<std::pair<Addr, RegVal>> &words);
+
+    /** Drop every page, leaving a zero-filled space. */
     void
     clear()
     {
@@ -91,7 +105,9 @@ class SparseMemory
 /**
  * A snapshot of complete architectural state (registers, PC, memory),
  * restorable onto an emulator of the same program — the checkpoint
- * facility sim-alpha inherited from the SimpleScalar tool set.
+ * facility sim-alpha inherited from the SimpleScalar tool set. Memory
+ * is held as a delta against the program's initial data image, so a
+ * checkpoint means nothing without its Program.
  */
 struct Checkpoint
 {
@@ -99,8 +115,10 @@ struct Checkpoint
     Addr pc = 0;
     InstSeq seq = 0;
     bool halted = false;
-    /** Dirty memory as (address, 64-bit word) pairs in ascending
-     *  address order. */
+    /** Every aligned memory word whose value differs from the image
+     *  Program::data loads, as (address, 64-bit word) pairs in
+     *  ascending address order; a zero where the image held a
+     *  nonzero word. */
     std::vector<std::pair<Addr, RegVal>> memory;
 };
 
@@ -138,14 +156,20 @@ class Emulator
     explicit Emulator(const Program &program);
 
     /** An emulator of @p program resuming at @p start; equivalent to
-     *  Emulator(program) followed by restore(start), without loading
-     *  the program's initial data image first. */
+     *  Emulator(program) followed by restore(start), loading the
+     *  initial data image once. */
     Emulator(const Program &program, const Checkpoint &start);
 
-    /** Capture the full architectural state. */
+    /**
+     * Capture the full architectural state, memory as its delta
+     * against the data image (built afresh, then compared page by
+     * page). Under SIMALPHA_SLOWPATH=1, asserts that image plus delta
+     * reproduces the live memory.
+     */
     Checkpoint checkpoint() const;
 
-    /** Restore a previously captured state of the same program. */
+    /** Restore a previously captured state of the same program: load
+     *  the data image, then apply the checkpoint's delta. */
     void restore(const Checkpoint &ckpt);
 
     /** Execute one instruction; undefined after halted(). */

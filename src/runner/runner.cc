@@ -228,10 +228,14 @@ ExperimentRunner::runSampledCell(const Cell &cell, Machine *machine,
 {
     namespace ck = checkpoint;
 
+    // Every key below embeds the program's hash, which reads all of
+    // its data: compute it once per cell.
+    const std::uint64_t hash = ck::programHash(program);
+
     // Workload length under the cap: one cheap functional pass whose
     // answer is shared through the store across shards and reruns.
     ck::FastForwardInfo info;
-    std::string mkey = ck::metaKey(program, cell.maxInsts);
+    std::string mkey = ck::metaKey(hash, cell.maxInsts);
     bool have_meta = false;
     if (_store.isOpen()) {
         std::string payload;
@@ -259,7 +263,7 @@ ExperimentRunner::runSampledCell(const Cell &cell, Machine *machine,
 
     std::vector<Checkpoint> ckpts;
     std::string error;
-    if (!ck::collectCheckpoints(program, offsets,
+    if (!ck::collectCheckpoints(program, hash, offsets,
                                 _store.isOpen() ? &_store : nullptr,
                                 &ckpts, &error))
         throw InvariantError(error);
@@ -712,8 +716,8 @@ ExperimentRunner::run(const CampaignSpec &spec)
                     if (buildWorkload(cell.workload, &program,
                                       &werror))
                         checkpoint::touchPlannedCheckpoints(
-                            program, cell.maxInsts, cell.sample,
-                            &_store);
+                            checkpoint::programHash(program),
+                            cell.maxInsts, cell.sample, &_store);
                 }
                 if (_opts.cache) {
                     std::lock_guard<std::mutex> lock(_cacheMutex);

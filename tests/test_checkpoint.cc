@@ -137,8 +137,8 @@ TEST(Checkpoint, ExportWordsIsAscending)
 
 TEST(Checkpoint, ConstructingAtCheckpointEqualsRestore)
 {
-    // Initial data, one word of it zero: restore() drops the page the
-    // zero word touched, and the direct construction never makes it.
+    // Initial data, one word of it zero: both paths load the image,
+    // so both touch the page the zero word is on.
     Program p = counterProgram();
     p.data.emplace_back(0x150000000ULL, 0);
     p.data.emplace_back(0x150002000ULL, 5);
@@ -169,4 +169,46 @@ TEST(Checkpoint, ConstructingAtCheckpointEqualsRestore)
     EXPECT_TRUE(direct.halted());
     EXPECT_EQ(direct.memory().read64(0x140000000ULL), 1000u);
     EXPECT_EQ(direct.memory().read64(0x150002000ULL), 5u);
+}
+
+TEST(Checkpoint, MemoryIsTheDeltaAgainstTheDataImage)
+{
+    const Addr a = Program::kDataBase;
+    ProgramBuilder b("delta");
+    b.dataWord(a, 5).dataWord(a + 8, 6).dataWord(a + 0x2000, 9);
+    b.lda(R(20), 0x14000);
+    b.lda(R(11), 16);
+    b.sll(R(20), R(11), R(20));     // r20 = a
+    b.lda(R(1), 7);
+    b.stq(R(1), 0, R(20));          // 5 -> 7: a pair
+    b.stq(R(kIntZeroReg), 8, R(20)); // 6 -> 0: a zero pair
+    b.lda(R(1), 5);
+    b.stq(R(1), 0, R(20));          // back to 5: the pair goes
+    b.halt();
+    Program p = b.finish();
+
+    using Words = std::vector<std::pair<Addr, RegVal>>;
+    Emulator emu(p);
+    EXPECT_EQ(emu.checkpoint().memory, Words{});
+    emu.run(5);
+    EXPECT_EQ(emu.checkpoint().memory, (Words{{a, 7}}));
+    emu.run(1);
+    EXPECT_EQ(emu.checkpoint().memory, (Words{{a, 7}, {a + 8, 0}}));
+    emu.run(100);
+    ASSERT_TRUE(emu.halted());
+    Checkpoint end = emu.checkpoint();
+    EXPECT_EQ(end.memory, (Words{{a + 8, 0}}));
+
+    // Image plus delta is the live memory, on both restore paths.
+    Emulator direct(p, end);
+    Emulator restored(p);
+    restored.run(4);
+    restored.restore(end);
+    for (const Emulator *e : {&direct, &restored}) {
+        EXPECT_EQ(e->memory().exportWords(), emu.memory().exportWords());
+        EXPECT_EQ(e->memory().read64(a), 5u);
+        EXPECT_EQ(e->memory().read64(a + 8), 0u);
+        EXPECT_EQ(e->memory().read64(a + 0x2000), 9u);
+        EXPECT_TRUE(e->halted());
+    }
 }

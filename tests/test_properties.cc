@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/core.hh"
@@ -23,10 +26,14 @@ namespace {
 /**
  * Generate a random but always-terminating program: a counted outer
  * loop whose body mixes ALU ops, loads/stores to a small arena, short
- * forward branches, and calls to a tiny leaf function.
+ * forward branches, and calls to a tiny leaf function. With
+ * @p more_stores the body also stores zeros over the arena's data
+ * image, stores arena words back unchanged, and stores to a page the
+ * image never touched — the cases a checkpoint's memory delta must
+ * tell apart.
  */
 Program
-randomProgram(std::uint64_t seed, int body_blocks)
+randomProgram(std::uint64_t seed, int body_blocks, bool more_stores = false)
 {
     Random rng(seed);
     ProgramBuilder b("rand-" + std::to_string(seed));
@@ -36,14 +43,22 @@ randomProgram(std::uint64_t seed, int body_blocks)
 
     b.lda(R(10), 1);
     b.lda(R(9), 200);
-    // r20 = arena base.
-    b.lda(R(20), 0x4000);
-    b.lda(R(11), 16);
-    b.sll(R(20), R(11), R(20));
-    b.sll(R(20), R(11), R(20));
+    if (more_stores) {
+        // r20 = arena: loads and stores meet the data image.
+        b.lda(R(20), std::int64_t(arena >> 16));
+        b.lda(R(11), 16);
+        b.sll(R(20), R(11), R(20));
+    } else {
+        // r20 = 0x4000 << 32, far from the arena: these loads and
+        // stores never meet the data image.
+        b.lda(R(20), 0x4000);
+        b.lda(R(11), 16);
+        b.sll(R(20), R(11), R(20));
+        b.sll(R(20), R(11), R(20));
+    }
     b.label("top");
     for (int blk = 0; blk < body_blocks; blk++) {
-        switch (rng.below(6)) {
+        switch (rng.below(more_stores ? 9 : 6)) {
           case 0:
             b.addq(R(1 + int(rng.below(4))), R(10),
                    R(1 + int(rng.below(4))));
@@ -73,6 +88,20 @@ randomProgram(std::uint64_t seed, int body_blocks)
           }
           case 5:
             b.bsr(R(26), "leaf");
+            break;
+          case 6:
+            b.stq(R(kIntZeroReg), 8 * std::int64_t(rng.below(64)),
+                  R(20));
+            break;
+          case 7: {
+            std::int64_t off = 8 * std::int64_t(rng.below(64));
+            b.ldq(R(8), off, R(20));
+            b.stq(R(8), off, R(20));
+            break;
+          }
+          case 8:
+            b.stq(R(1 + int(rng.below(4))),
+                  0x2000 + 8 * std::int64_t(rng.below(64)), R(20));
             break;
         }
     }
@@ -208,6 +237,107 @@ TEST(EmulatorProperty, StepSequenceIsStable)
         ASSERT_EQ(ia.taken, ib.taken);
     }
     EXPECT_EQ(a.halted(), b.halted());
+}
+
+namespace {
+
+/** Registers, PC, count, halt flag and every memory word agree. */
+void
+expectSameState(const Emulator &a, const Emulator &b)
+{
+    for (int i = 0; i < 32; i++) {
+        ASSERT_EQ(a.readIntReg(i), b.readIntReg(i)) << "r" << i;
+        ASSERT_EQ(a.readFpRaw(i), b.readFpRaw(i)) << "f" << i;
+    }
+    ASSERT_EQ(a.pc(), b.pc());
+    ASSERT_EQ(a.instsExecuted(), b.instsExecuted());
+    ASSERT_EQ(a.halted(), b.halted());
+    ASSERT_EQ(a.memory().exportWords(), b.memory().exportWords());
+}
+
+/** Scoped SIMALPHA_SLOWPATH=1 (the emulator reads it at
+ *  construction), restoring whatever was set before. */
+class ScopedSlowpath
+{
+  public:
+    ScopedSlowpath()
+    {
+        if (const char *v = std::getenv("SIMALPHA_SLOWPATH"))
+            _saved = v;
+        ::setenv("SIMALPHA_SLOWPATH", "1", 1);
+    }
+    ~ScopedSlowpath()
+    {
+        if (_saved.empty())
+            ::unsetenv("SIMALPHA_SLOWPATH");
+        else
+            ::setenv("SIMALPHA_SLOWPATH", _saved.c_str(), 1);
+    }
+
+  private:
+    std::string _saved;
+};
+
+} // namespace
+
+TEST(CheckpointProperty, DeltaRestoreMatchesTheLiveEmulator)
+{
+    for (std::uint64_t seed : {3u, 17u, 101u, 4242u, 90001u}) {
+        Program p = randomProgram(seed, 24, true);
+        const std::uint64_t total = architecturalCount(p);
+        Emulator image(p);
+        Random rng(seed ^ 0x5eed);
+        for (int k = 0; k < 6; k++) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " pick " +
+                         std::to_string(k));
+            Emulator live(p);
+            live.run(rng.below(total + 1));
+            Checkpoint c = live.checkpoint();
+
+            // Every pair is a word the program changed, ascending.
+            for (std::size_t i = 0; i < c.memory.size(); i++) {
+                const auto &[addr, word] = c.memory[i];
+                EXPECT_NE(word, image.memory().read64(addr));
+                if (i)
+                    EXPECT_LT(c.memory[i - 1].first, addr);
+            }
+
+            Emulator resumed(p, c);
+            Emulator restored(p);
+            restored.run(rng.below(total + 1));
+            restored.restore(c);
+            expectSameState(live, resumed);
+            expectSameState(live, restored);
+
+            // And they stay together.
+            const std::uint64_t more = 1 + rng.below(2000);
+            live.run(more);
+            resumed.run(more);
+            restored.run(more);
+            expectSameState(live, resumed);
+            expectSameState(live, restored);
+        }
+    }
+}
+
+TEST(CheckpointProperty, SlowpathChecksEveryDeltaAgainstLiveMemory)
+{
+    // Under SIMALPHA_SLOWPATH=1, checkpoint() rebuilds image + delta
+    // and asserts it equals the live memory; a mismatch panics.
+    ScopedSlowpath slow;
+    for (std::uint64_t seed : {5u, 77u}) {
+        Program p = randomProgram(seed, 24, true);
+        Emulator emu(p);
+        std::size_t taken = 0;
+        while (!emu.halted()) {
+            emu.run(997);
+            Checkpoint c = emu.checkpoint();
+            taken++;
+            Emulator resumed(p, c);
+            expectSameState(emu, resumed);
+        }
+        EXPECT_GT(taken, 1u);
+    }
 }
 
 TEST(CoreProperty, CyclesScaleRoughlyWithWork)

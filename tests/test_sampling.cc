@@ -69,6 +69,17 @@ workload(const std::string &name)
     return p;
 }
 
+/** What the previous codec wrote for @p emu's state: every nonzero
+ *  word rather than the delta against the data image, under the
+ *  `ckpt1` magic. Same grammar, other meaning. */
+std::string
+ckpt1Blob(const Emulator &emu)
+{
+    Checkpoint full = emu.checkpoint();
+    full.memory = emu.memory().exportWords();
+    return ck::serializeCheckpoint(full).replace(0, 5, "ckpt1");
+}
+
 /** A one-cell campaign, the unit of the statistical tests. */
 CampaignSpec
 singleCell(const std::string &machine, const std::string &work,
@@ -185,20 +196,20 @@ TEST(CheckpointBlob, CorruptBlobReadsAsErrorNeverAsState)
     std::string regs = blob.substr(blob.find(" regs="),
                                    blob.find(" mem=") -
                                        blob.find(" regs="));
-    std::string head = "ckpt1 pc=1000 seq=7 halted=0" + regs;
+    std::string head = "ckpt2 pc=1000 seq=7 halted=0" + regs;
 
     Checkpoint out;
     std::string error;
     for (const std::string &bad : {
-             std::string("ckpt2") + blob.substr(5), // wrong magic
+             ckpt1Blob(emu),                        // wrong magic
              blob.substr(0, blob.size() / 2),       // truncated
              blob + " trailing=1",                  // trailing garbage
-             std::string("ckpt1 pc=zz seq=0 halted=0 regs= mem="),
+             std::string("ckpt2 pc=zz seq=0 halted=0 regs= mem="),
              std::string(),                         // empty
              // Forms strtoull would take but the writer never emits.
              with("pc", "-1"),                      // sign
              with("pc", "+1000"),
-             std::string("ckpt1 pc= 1000") +        // leading space
+             std::string("ckpt2 pc= 1000") +        // leading space
                  blob.substr(blob.find(" seq=")),
              with("pc", "0x1000"),                  // prefix
              with("pc", "1000A"),                   // uppercase hex
@@ -250,7 +261,7 @@ TEST(CheckpointBlob, SerializationIsPinnedByteForByte)
                 {0x140000008ULL, ~std::uint64_t(0)},
                 {0x140001000ULL, 0x1}};
     const std::string pinned =
-        "ckpt1 pc=120000040 seq=123456789 halted=1 "
+        "ckpt2 pc=120000040 seq=123456789 halted=1 "
         "regs=0,ffffffffffffffff,1,0,0,0,0,0,0,0,120000a3c,0,0,0,0,0,"
         "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,3ff0000000000000,0,0,0,0,0,0,"
         "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,deadbeef "
@@ -272,7 +283,7 @@ TEST(CheckpointBlob, SerializationIsPinnedByteForByte)
     z.seq = ~std::uint64_t(0);
     std::string zblob = ck::serializeCheckpoint(z);
     EXPECT_EQ(zblob.substr(0, 40),
-              "ckpt1 pc=0 seq=18446744073709551615 halt");
+              "ckpt2 pc=0 seq=18446744073709551615 halt");
     EXPECT_EQ(zblob.substr(zblob.size() - 7), ",0 mem=");
     ASSERT_TRUE(ck::parseCheckpoint(zblob, &back, &error)) << error;
     EXPECT_EQ(back.seq, z.seq);
@@ -288,9 +299,12 @@ TEST(CheckpointBlob, ProgramHashKeysWorkloadIdentity)
 
     // Keys embed the hash and the offset; different offsets and
     // different programs never collide textually.
-    EXPECT_NE(ck::checkpointKey(a, 100), ck::checkpointKey(a, 200));
-    EXPECT_NE(ck::checkpointKey(a, 100), ck::checkpointKey(b, 100));
-    EXPECT_NE(ck::checkpointKey(a, 100), ck::metaKey(a, 100));
+    const std::uint64_t ha = ck::programHash(a);
+    const std::uint64_t hb = ck::programHash(b);
+    EXPECT_NE(ck::checkpointKey(ha, 100), ck::checkpointKey(ha, 200));
+    EXPECT_NE(ck::checkpointKey(ha, 100), ck::checkpointKey(hb, 100));
+    EXPECT_NE(ck::checkpointKey(ha, 100), ck::metaKey(ha, 100));
+    EXPECT_EQ(ck::metaKey(a, 100), ck::metaKey(ha, 100));
 }
 
 TEST(CheckpointBlob, MetaRoundTrips)
@@ -508,7 +522,8 @@ TEST(CheckpointStore, CollectedCheckpointsRoundTripByteIdentically)
         // The blob is on disk under its key.
         std::string payload;
         EXPECT_TRUE(
-            store.lookup(ck::checkpointKey(p, offsets[i]), &payload));
+            store.lookup(ck::checkpointKey(ck::programHash(p), offsets[i]),
+                         &payload));
         EXPECT_EQ(payload, want);
     }
 
@@ -519,6 +534,53 @@ TEST(CheckpointStore, CollectedCheckpointsRoundTripByteIdentically)
     EXPECT_FALSE(ck::collectCheckpoints(p, {info.totalInsts + 1},
                                         nullptr, &beyond, &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(CheckpointStore, OldCodecBlobReadsAsMissAndIsRegenerated)
+{
+    Program p = workload("M-I");    // has a data image
+    ASSERT_FALSE(p.data.empty());
+    ck::FastForwardInfo info = ck::fastForward(p, 0);
+    std::vector<std::uint64_t> offsets = {info.totalInsts / 3,
+                                          info.totalInsts / 2};
+    std::vector<Checkpoint> direct;
+    std::string error;
+    ASSERT_TRUE(
+        ck::collectCheckpoints(p, offsets, nullptr, &direct, &error))
+        << error;
+
+    // A `ckpt1` blob of each state (every nonzero word, old magic)
+    // under the current key: the worst an older store could hold.
+    const std::uint64_t hash = ck::programHash(p);
+    std::string root = uniqueDir("ckpt1-store");
+    ResultStore store;
+    ASSERT_TRUE(store.open(root, &error)) << error;
+    for (std::uint64_t offset : offsets) {
+        Emulator emu(p);
+        emu.run(offset);
+        std::string old = ckpt1Blob(emu);
+        ASSERT_NE(old.substr(5),
+                  ck::serializeCheckpoint(emu.checkpoint()).substr(5));
+        ASSERT_TRUE(
+            store.publish(ck::checkpointKey(hash, offset), old, &error))
+            << error;
+    }
+
+    std::vector<Checkpoint> got;
+    ASSERT_TRUE(
+        ck::collectCheckpoints(p, hash, offsets, &store, &got, &error))
+        << error;
+    ASSERT_EQ(got.size(), offsets.size());
+    for (std::size_t i = 0; i < offsets.size(); i++) {
+        std::string want = ck::serializeCheckpoint(direct[i]);
+        EXPECT_EQ(ck::serializeCheckpoint(got[i]), want);
+        // Regenerated and republished in the current codec.
+        std::string payload;
+        ASSERT_TRUE(
+            store.lookup(ck::checkpointKey(hash, offsets[i]), &payload));
+        EXPECT_EQ(payload, want);
+    }
+    fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------

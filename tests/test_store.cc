@@ -509,7 +509,8 @@ TEST(StoreGc, WarmSampledRerunKeepsItsCheckpointsAlive)
     std::vector<std::string> needed = {ck::metaKey(program, 4000)};
     for (const ck::WindowPlan &w :
          ck::planWindows(info.totalInsts, sample))
-        needed.push_back(ck::checkpointKey(program, w.checkpointAt));
+        needed.push_back(
+            ck::checkpointKey(ck::programHash(program), w.checkpointAt));
     {
         ResultStore probe;
         ASSERT_TRUE(probe.open(root, &error)) << error;
